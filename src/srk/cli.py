@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 validation error, 3 search budget exceeded.
+Exit codes: 0 success, 2 validation error, 3 search budget exceeded,
+4 any other engine error (an index or diagram the engine cannot handle).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from .catalog import build_record, enumerate_gr, enumerate_og, write_catalog
 from .degeneration import expand, merge_primes, pushforward
 from .diagrams import check_conditions, parse_diagram, print_diagram
-from .errors import SearchBudgetExceeded, ValidationError
+from .errors import SearchBudgetExceeded, SrkError, ValidationError
 from .grassmannian import (
     gr_dimension,
     gr_envelope,
@@ -238,6 +239,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SrkError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -418,32 +418,31 @@ def _entry_check(D: QuadricDiagram):
         )
 
 
+def _expand_root(D: QuadricDiagram, push: bool, trace: bool, what: str):
+    _entry_check(D)
+    try:
+        if not trace:
+            return _expand_cached(D, push)
+        root = TraceNode(D, "Root")
+        return _expand_node(D, push, root, 0, _depth_limit(D)), root
+    except RecursionError:
+        raise DepthExceeded(f"{what} of {print_diagram(D)} does not bottom out")
+
+
 def expand(D: QuadricDiagram, trace: bool = False):
     """Expand a restriction-variety diagram into OG(k, m) Schubert classes.
 
     Returns the ClassSum, or (ClassSum, TraceNode) when ``trace`` is set.
     Deterministic: terms accumulate into the canonical basis order no matter
-    how the tree is walked.
+    how the tree is walked.  Untraced results are cached, the root included.
     """
-    _entry_check(D)
-    root = TraceNode(D, "Root") if trace else None
-    try:
-        result = _expand_node(D, False, root, 0, _depth_limit(D))
-    except RecursionError:
-        raise DepthExceeded(f"derivation of {print_diagram(D)} does not bottom out")
-    return (result, root) if trace else result
+    return _expand_root(D, False, trace, "derivation")
 
 
 def pushforward_diagram(D: QuadricDiagram, trace: bool = False):
     """Class of the diagram's variety inside the ordinary Grassmannian G(k, m),
     computed by running the engine with the ambient treated as 2m + 1."""
-    _entry_check(D)
-    root = TraceNode(D, "Root") if trace else None
-    try:
-        result = _expand_node(D, True, root, 0, _depth_limit(D))
-    except RecursionError:
-        raise DepthExceeded(f"pushforward of {print_diagram(D)} does not bottom out")
-    return (result, root) if trace else result
+    return _expand_root(D, True, trace, "pushforward")
 
 
 def pushforward(x: OgIndex, trace: bool = False):

@@ -20,8 +20,11 @@ the queried position asserts.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 
 from .classsum import ClassSum
 from .degeneration import expand
@@ -281,6 +284,55 @@ def _omits_assertion(D: QuadricDiagram, cx: OgIndex, kind: str, idx: int) -> boo
     return any(q.d == cx.n - bj and q.r < bj for q in D.quadrics)
 
 
+class _DiagramMemo:
+    """The admissible diagrams of OG(k, n) in canonical order, enumerated
+    lazily: the list grows only as far as some scan has read.
+
+    A scan that stops early (a witness found, a budget hit, an engine error)
+    leaves the rest unenumerated; enumerating eagerly would make such a scan
+    pay for every diagram of the space.  The fill is locked because scans may
+    share a memo across threads and a generator cannot be advanced from two
+    threads at once.
+    """
+
+    def __init__(self, k: int, n: int):
+        self._k, self._n = k, n
+        self._items: list = []
+        self._source = enumerate_diagrams(k, n, admissible_only=True)
+        self._exhausted = False
+        self._lock = threading.Lock()
+
+    def _fill_to(self, i: int) -> bool:
+        """Enumerate up to item i; False when the space has fewer items."""
+        with self._lock:
+            while len(self._items) <= i and not self._exhausted:
+                try:
+                    self._items.append(next(self._source))
+                except StopIteration:
+                    self._exhausted = True
+                except BaseException:
+                    # an interrupted generator is finished for good; resume
+                    # from a fresh one so later scans still see every diagram
+                    self._source = islice(
+                        enumerate_diagrams(self._k, self._n, admissible_only=True),
+                        len(self._items),
+                        None,
+                    )
+                    raise
+            return len(self._items) > i
+
+    def __iter__(self):
+        i = 0
+        while i < len(self._items) or self._fill_to(i):
+            yield self._items[i]
+            i += 1
+
+
+@lru_cache(maxsize=None)
+def _admissible_diagrams(k: int, n: int) -> _DiagramMemo:
+    return _DiagramMemo(k, n)
+
+
 def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
     """Search for a restriction variety showing the position is not rigid.
 
@@ -289,6 +341,7 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
     expansion is exactly 1 * x wins.  Returns None when the exhaustive scan
     finds nothing; raises SearchBudgetExceeded past the cap (argument, else
     the SRK_SEARCH_BUDGET environment variable, else 100000 diagrams).
+    The admissible diagrams of (k, n) are kept for the life of the process.
     """
     kind, idx = position
     if kind not in ("a", "b"):
@@ -304,7 +357,7 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
         kind, idx = "a", cx.s
     target = ClassSum.single(cx)
     examined = 0
-    for D in enumerate_diagrams(x.k, x.n, admissible_only=True):
+    for D in _admissible_diagrams(x.k, x.n):
         examined += 1
         if examined > budget:
             raise SearchBudgetExceeded(f"witness search passed {budget} diagrams")

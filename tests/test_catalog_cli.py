@@ -169,6 +169,27 @@ def test_cli_witness_budget_exit_code():
     assert env_out.returncode == 3
 
 
+def test_cli_engine_error_exit_code_for_witness():
+    # the scan reaches the out-of-family diagram 244000}0}0}0}00
+    out = run_cli(
+        "witness", "--k", "4", "--n", "11", "--a", "-", "--b", "0,1,2,4",
+        "--position", "b:4",
+    )
+    assert out.returncode == 4 and out.stdout == ""
+    assert out.stderr.startswith("error: 244000}0}0}0}00 fails")
+    assert "Traceback" not in out.stderr
+
+
+def test_cli_engine_error_exit_code_for_enumerate(tmp_path):
+    # a k = 5 zero pushforward: og_dimension cannot read off a dimension
+    out = run_cli(
+        "enumerate", "--space", "og", "--k", "5", "--n", "10",
+        "--out", str(tmp_path / "og510.jsonl"),
+    )
+    assert out.returncode == 4 and "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: inhomogeneous pushforward for σ_{2,3,5}^{0,3}")
+
+
 def test_cli_validation_error_exit_code():
     out = run_cli("classify", "--space", "og", "--k", "2", "--n", "7", "--a", "2", "--b", "1")
     assert out.returncode == 2 and "splits" in out.stderr

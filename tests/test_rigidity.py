@@ -1,5 +1,11 @@
 """Rigidity classifiers and the non-rigidity witness search."""
 
+import functools
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
+
 import pytest
 
 from srk import (
@@ -9,6 +15,8 @@ from srk import (
     QuadricDiagram,
     canonical_index,
     classify_og,
+    enumerate_diagrams,
+    enumerate_og,
     expand,
     find_nonrigid_witness,
     og_rigid_a,
@@ -18,7 +26,9 @@ from srk import (
     x_counts,
     z_counts,
 )
-from srk.errors import PositionOutOfRange, SearchBudgetExceeded
+from srk import rigidity
+from srk.errors import PositionOutOfRange, SearchBudgetExceeded, SrkError
+from srk.orthogonal import needs_rewrite
 
 
 def test_counts():
@@ -116,3 +126,108 @@ def test_witness_for_rewritten_boundary_position():
     # the boundary condition b = n/2 - 1 is queried through its bracket form
     x = validate_og(2, 8, [2], [3])
     assert find_nonrigid_witness(x, ("b", 1)) is None
+
+
+# --- the memoized scan against a plain one ----------------------------------
+
+
+def _reference_scan(x, position):
+    """The witness scan without memos: a fresh enumeration per query and the
+    traced expansion, which bypasses the expansion cache.  Returns (1-based
+    scan count, witness) or (None, None)."""
+    kind, idx = position
+    cx = canonical_index(x)
+    if needs_rewrite(x) and kind == "b" and idx == len(x.b):
+        kind, idx = "a", cx.s
+    target = ClassSum.single(cx)
+    for count, D in enumerate(enumerate_diagrams(x.k, x.n), start=1):
+        if rigidity._omits_assertion(D, cx, kind, idx) and expand(D, trace=True)[0] == target:
+            return count, D
+    return None, None
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except SrkError as exc:
+        return "raised", type(exc)
+
+
+@functools.cache
+def _reference_answers(k, n):
+    """((index, position), reference outcome) for every not_rigid position."""
+    out = []
+    for x in enumerate_og(k, n):
+        rep = classify_og(x)
+        for kind, verdicts in (("a", rep.a_verdicts), ("b", rep.b_verdicts)):
+            for i, v in enumerate(verdicts, start=1):
+                if v.kind == "not_rigid":
+                    want = _outcome(lambda: _reference_scan(x, (kind, i))[1])
+                    out.append(((x, (kind, i)), want))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("k,n", [(2, 7), (2, 8), (2, 9), (3, 8)])
+def test_memoized_witness_scan_matches_reference(k, n):
+    answers = _reference_answers(k, n)
+    assert answers
+    for (x, pos), want in answers:
+        assert _outcome(find_nonrigid_witness, x, pos) == want, (x, pos)
+
+
+def test_budget_counts_the_same_on_a_warm_memo():
+    x, pos = validate_og(2, 9, [2], [3]), ("b", 1)
+    count, witness = _reference_scan(x, pos)
+    assert count > 1
+    find_nonrigid_witness(x, pos)  # (2, 9) is warm from here on
+    assert find_nonrigid_witness(x, pos, budget=count) == witness
+    with pytest.raises(SearchBudgetExceeded):
+        find_nonrigid_witness(x, pos, budget=count - 1)
+
+
+def test_diagram_memo_resumes_where_a_scan_stopped():
+    full = list(enumerate_diagrams(2, 8))
+    memo = rigidity._DiagramMemo(2, 8)
+    assert list(islice(memo, 5)) == full[:5]
+    inner = iter(memo)
+    assert list(islice(inner, 3)) == full[:3]
+    assert list(memo) == full
+    assert list(inner) == full[3:]
+    assert list(memo) == full
+
+
+def test_diagram_memo_survives_an_interrupted_fill():
+    full = list(enumerate_diagrams(2, 8))
+    memo = rigidity._DiagramMemo(2, 8)
+
+    def interrupted():
+        yield from full[:4]
+        raise KeyboardInterrupt
+
+    memo._source = interrupted()
+    with pytest.raises(KeyboardInterrupt):
+        list(memo)
+    assert list(memo) == full
+
+
+def test_witness_scan_shared_by_two_threads(monkeypatch):
+    answers = _reference_answers(2, 9)
+    memo = rigidity._DiagramMemo(2, 9)
+    monkeypatch.setattr(rigidity, "_admissible_diagrams", lambda k, n: memo)
+    start = threading.Barrier(2, timeout=30)
+
+    def sweep():
+        start.wait()
+        return [_outcome(find_nonrigid_witness, x, pos) for (x, pos), _ in answers]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(sweep) for _ in range(2)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    want = [outcome for _, outcome in answers]
+    assert results == [want, want]
+    assert memo._items == list(enumerate_diagrams(2, 9))[: len(memo._items)]
