@@ -447,8 +447,15 @@ def pushforward_diagram(D: QuadricDiagram, trace: bool = False):
 
 def pushforward(x: OgIndex, trace: bool = False):
     """Type-A class of the Schubert variety named by ``x`` under the inclusion
-    of OG(k,n) into G(k,n)."""
-    return pushforward_diagram(og_to_diagram(x), trace=trace)
+    of OG(k,n) into G(k,n).
+
+    A Schubert variety never pushes forward to zero, so a zero result means
+    the engine lost every branch; that raises EngineInvariantError.
+    """
+    result = pushforward_diagram(og_to_diagram(x), trace=trace)
+    if not (result[0] if trace else result):
+        raise EngineInvariantError(f"zero pushforward for {x}")
+    return result
 
 
 def merge_primes(S: ClassSum) -> ClassSum:

@@ -190,21 +190,19 @@ def diagram_to_og(D: QuadricDiagram) -> OgIndex:
 
 
 def og_dimension(x: OgIndex) -> int:
-    """Dimension, read off the type-A pushforward of the class.
+    """Dimension of the Schubert variety of ``x``, by the closed form
 
-    Expands the index through the degeneration engine and returns the common
-    dimension of the resulting ordinary Schubert classes, asserting that all
-    terms agree.
+        sum_i (a_i - i) + sum_j (n - b_j - s - 2j - #{i : a_i > b_j}).
+
+    The prime marker does not change the dimension, and the even-n boundary
+    form b_{k-s} = n/2 - 1 gives the same value as its primed rewrite.  The
+    fundamental class (s = 0, b = 0..k-1) has dimension k(2n - 3k - 1)/2.
     """
-    from .degeneration import pushforward  # circular at module load time
-    from .errors import EngineInvariantError
-    from .grassmannian import gr_dimension
-
-    terms = pushforward(x)
-    dims = {gr_dimension(t) for t, _ in terms}
-    if len(dims) != 1:
-        raise EngineInvariantError(f"inhomogeneous pushforward for {x}: {dims}")
-    return dims.pop()
+    s = x.s
+    return sum(v - i for i, v in enumerate(x.a, start=1)) + sum(
+        x.n - bv - s - 2 * j - sum(1 for av in x.a if av > bv)
+        for j, bv in enumerate(x.b, start=1)
+    )
 
 
 def og_merge_prime(x: OgIndex) -> OgIndex:

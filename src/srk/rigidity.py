@@ -29,7 +29,7 @@ from itertools import islice
 from .classsum import ClassSum
 from .degeneration import expand
 from .diagrams import QuadricDiagram, enumerate_diagrams
-from .errors import PositionOutOfRange, SearchBudgetExceeded
+from .errors import PositionOutOfRange, SearchBudgetExceeded, ValidationError
 from .grassmannian import NOT_ESSENTIAL, Verdict
 from .orthogonal import OgIndex, canonical_index, needs_rewrite, og_essential
 
@@ -340,7 +340,8 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
     keeping those that omit the asserted flag element; the first whose
     expansion is exactly 1 * x wins.  Returns None when the exhaustive scan
     finds nothing; raises SearchBudgetExceeded past the cap (argument, else
-    the SRK_SEARCH_BUDGET environment variable, else 100000 diagrams).
+    the SRK_SEARCH_BUDGET environment variable, else 100000 diagrams) and
+    ValidationError when SRK_SEARCH_BUDGET is not an integer.
     The admissible diagrams of (k, n) are kept for the life of the process.
     """
     kind, idx = position
@@ -350,7 +351,13 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
     if not (1 <= idx <= limit):
         raise PositionOutOfRange(f"{kind}-position {idx} not in 1..{limit}")
     if budget is None:
-        budget = int(os.environ.get("SRK_SEARCH_BUDGET", DEFAULT_SEARCH_BUDGET))
+        raw = os.environ.get("SRK_SEARCH_BUDGET", DEFAULT_SEARCH_BUDGET)
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise ValidationError(
+                f"SRK_SEARCH_BUDGET must be an integer, got {raw!r}"
+            ) from None
     cx = canonical_index(x)
     if needs_rewrite(x) and kind == "b" and idx == len(x.b):
         # the boundary condition is really the primed bracket of the rewrite

@@ -70,7 +70,7 @@ def test_catalog_roundtrip_and_determinism(tmp_path):
 
 
 def test_catalog_dims_match_independent_recomputation(tmp_path):
-    from srk import gr_dimension, og_dimension, validate_gr, validate_og
+    from srk import gr_dimension, pushforward, validate_gr, validate_og
 
     path = tmp_path / "mixed.jsonl"
     records = [build_record(x) for x in enumerate_og(2, 6)]
@@ -80,9 +80,9 @@ def test_catalog_dims_match_independent_recomputation(tmp_path):
         if rec.space == "G":
             assert rec.dim == gr_dimension(validate_gr(rec.k, rec.n, rec.a))
         else:
-            assert rec.dim == og_dimension(
-                validate_og(rec.k, rec.n, rec.a, rec.b, rec.prime)
-            )
+            # the engine-derived dimension: every term of the pushforward
+            x = validate_og(rec.k, rec.n, rec.a, rec.b, rec.prime)
+            assert {gr_dimension(t) for t, _ in pushforward(x)} == {rec.dim}
 
 
 def test_catalog_schema_error_carries_line(tmp_path):
@@ -167,6 +167,12 @@ def test_cli_witness_budget_exit_code():
         "--position", "b:1", env={"SRK_SEARCH_BUDGET": "2"},
     )
     assert env_out.returncode == 3
+    bad_env = run_cli(
+        "witness", "--k", "2", "--n", "9", "--a", "2", "--b", "3",
+        "--position", "b:1", env={"SRK_SEARCH_BUDGET": "lots"},
+    )
+    assert bad_env.returncode == 2 and "Traceback" not in bad_env.stderr
+    assert bad_env.stderr.startswith("error: SRK_SEARCH_BUDGET must be an integer")
 
 
 def test_cli_engine_error_exit_code_for_witness():
@@ -181,13 +187,26 @@ def test_cli_engine_error_exit_code_for_witness():
 
 
 def test_cli_engine_error_exit_code_for_enumerate(tmp_path):
-    # a k = 5 zero pushforward: og_dimension cannot read off a dimension
+    # no engine error any more: σ_{2,3,5}^{0,3} pushes forward to zero in the
+    # engine, but its record only needs the closed-form dimension
+    target = tmp_path / "og510.jsonl"
     out = run_cli(
-        "enumerate", "--space", "og", "--k", "5", "--n", "10",
-        "--out", str(tmp_path / "og510.jsonl"),
+        "enumerate", "--space", "og", "--k", "5", "--n", "10", "--out", str(target),
     )
-    assert out.returncode == 4 and "Traceback" not in out.stderr
-    assert out.stderr.startswith("error: inhomogeneous pushforward for σ_{2,3,5}^{0,3}")
+    assert out.returncode == 0 and "32 records" in out.stdout
+    [rec] = [
+        r for r in read_catalog(target)
+        if (r.a, r.b, r.prime) == ((2, 3, 5), (0, 3), False)
+    ]
+    # (2-1) + (3-2) + (5-3) + (10-0-3-2-3) + (10-3-3-4-1)
+    assert rec.dim == 5
+
+
+def test_cli_engine_error_exit_code_for_pushforward():
+    out = run_cli("pushforward", "--k", "5", "--n", "10", "--a", "2,3,5", "--b", "0,3")
+    assert out.returncode == 4 and out.stdout == ""
+    assert out.stderr.startswith("error: zero pushforward for σ_{2,3,5}^{0,3}")
+    assert "Traceback" not in out.stderr
 
 
 def test_cli_validation_error_exit_code():

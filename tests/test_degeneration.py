@@ -20,7 +20,7 @@ from srk import (
     validate_gr,
     validate_og,
 )
-from srk.errors import AlreadyTerminal, NotAdmissible
+from srk.errors import AlreadyTerminal, EngineInvariantError, NotAdmissible
 
 
 def D(m, brackets=(), quadrics=()):
@@ -161,6 +161,26 @@ def test_pushforward_examples():
 def test_pushforward_of_bracket_only_index_is_itself():
     x = validate_og(2, 6, [2, 3], [], prime=True)
     assert pushforward(x) == ClassSum.single(validate_gr(2, 6, [2, 3]))
+
+
+# every k = 5 index of OG(5,10..12) whose pushforward the engine loses
+ZERO_PUSHFORWARD = [
+    (5, 10, [2, 3, 5], [0, 3], False),
+    (5, 10, [2, 3, 5], [0, 3], True),
+    (5, 11, [3, 4], [0, 1, 4], False),
+    (5, 12, [4, 6], [0, 1, 4], False),
+    (5, 12, [4, 6], [0, 1, 4], True),
+    (5, 12, [3, 4, 6], [1, 4], False),
+    (5, 12, [3, 4, 6], [1, 4], True),
+]
+
+
+@pytest.mark.parametrize("k,n,a,b,prime", ZERO_PUSHFORWARD)
+def test_zero_pushforward_raises(k, n, a, b, prime):
+    x = validate_og(k, n, a, b, prime)
+    for trace in (False, True):
+        with pytest.raises(EngineInvariantError, match="zero pushforward for"):
+            pushforward(x, trace=trace)
 
 
 def test_pushforward_diagram_matches_index_route():

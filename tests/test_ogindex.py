@@ -1,5 +1,8 @@
 """OG Schubert indices: validation, essential positions, diagram conversion."""
 
+from collections import Counter
+from math import comb
+
 import pytest
 
 from srk import (
@@ -118,6 +121,22 @@ def test_fundamental_dimension_formula():
         for n in range(2 * k + 1, 10):
             fund = validate_og(k, n, [], range(k))
             assert og_dimension(fund) == k * (n - k) - k * (k + 1) // 2
+
+
+def test_enumeration_and_dimension_invariants_to_k6():
+    """Engine-free checks for every k <= 6, n <= 14: the cell count is the
+    Weyl-group quotient order 2^k C(floor(n/2), k), dimensions fill
+    0..dim OG(k,n) with the fundamental class on top, and the number of
+    classes of each dimension obeys Poincare duality."""
+    for k in range(1, 7):
+        for n in range(2 * k, 15):
+            xs = list(enumerate_og(k, n))
+            assert len(xs) == 2**k * comb(n // 2, k), (k, n)
+            top = k * (2 * n - 3 * k - 1) // 2
+            dims = Counter(og_dimension(x) for x in xs)
+            assert min(dims) == 0 and max(dims) == top, (k, n)
+            assert og_dimension(validate_og(k, n, [], range(k))) == top
+            assert all(dims[d] == dims[top - d] for d in dims), (k, n)
 
 
 def test_enumeration_counts_and_order():

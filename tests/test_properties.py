@@ -91,6 +91,38 @@ def test_pushforward_terms_share_one_dimension_per_index():
                 assert len(dims) == 1, str(x)
 
 
+def test_og_dimension_matches_engine_derived_dimension():
+    """The closed-form og_dimension equals the one dimension of the terms of
+    pushforward(x), over every index of k <= 4, n <= 12 (primed ones and the
+    even-n boundary forms b_{k-s} = n/2 - 1 included) and over OG(5,10) and
+    OG(5,11), where the engine loses exactly the listed classes."""
+    from srk import OgIndex, og_dimension, pushforward
+    from srk.errors import EngineInvariantError
+    from srk.grassmannian import gr_dimension
+
+    lost = []
+    for k, n in [(k, n) for k in range(1, 5) for n in range(2 * k, 13)] + [
+        (5, 10),
+        (5, 11),
+    ]:
+        xs = list(enumerate_og(k, n))
+        # each primed index also has its boundary form, which enumerate_og skips
+        xs += [OgIndex(k, n, x.a[:-1], x.b + (n // 2 - 1,)) for x in xs if x.prime]
+        for x in xs:
+            try:
+                terms = pushforward(x)
+            except EngineInvariantError:
+                lost.append(f"{x}@OG({k},{n})")
+                continue
+            assert {gr_dimension(t) for t, _ in terms} == {og_dimension(x)}, str(x)
+    assert lost == [
+        "σ_{2,3,5}^{0,3}@OG(5,10)",
+        "σ_{2,3,5'}^{0,3}@OG(5,10)",
+        "σ_{2,3}^{0,3,4}@OG(5,10)",
+        "σ_{3,4}^{0,1,4}@OG(5,11)",
+    ]
+
+
 def test_progress_along_derivations():
     """Along every root-to-leaf path, quadric sums never decrease and the
     same diagram never repeats."""

@@ -27,7 +27,12 @@ from srk import (
     z_counts,
 )
 from srk import rigidity
-from srk.errors import PositionOutOfRange, SearchBudgetExceeded, SrkError
+from srk.errors import (
+    PositionOutOfRange,
+    SearchBudgetExceeded,
+    SrkError,
+    ValidationError,
+)
 from srk.orthogonal import needs_rewrite
 
 
@@ -112,6 +117,16 @@ def test_witness_absent_for_rigid_position():
 def test_witness_respects_budget():
     with pytest.raises(SearchBudgetExceeded):
         find_nonrigid_witness(validate_og(2, 9, [2], [3]), ("b", 1), budget=2)
+
+
+def test_witness_budget_from_environment(monkeypatch):
+    x = validate_og(2, 9, [2], [3])
+    monkeypatch.setenv("SRK_SEARCH_BUDGET", "2")
+    with pytest.raises(SearchBudgetExceeded):
+        find_nonrigid_witness(x, ("b", 1))
+    monkeypatch.setenv("SRK_SEARCH_BUDGET", "lots")
+    with pytest.raises(ValidationError, match="SRK_SEARCH_BUDGET"):
+        find_nonrigid_witness(x, ("b", 1))
 
 
 def test_witness_position_validation():
