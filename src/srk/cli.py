@@ -14,14 +14,7 @@ from .catalog import build_record, enumerate_gr, enumerate_og, write_catalog
 from .degeneration import expand, merge_primes, pushforward
 from .diagrams import check_conditions, parse_diagram, print_diagram
 from .errors import SearchBudgetExceeded, SrkError, ValidationError
-from .grassmannian import (
-    gr_dimension,
-    gr_envelope,
-    gr_essential,
-    gr_rigid_class,
-    gr_rigid_index,
-    validate_gr,
-)
+from .grassmannian import GrIndex, gr_dimension, validate_gr
 from .orthogonal import og_dimension, validate_og
 from .rigidity import classify_og, find_nonrigid_witness
 
@@ -109,29 +102,29 @@ def _cmd_classify(args):
         if args.b or args.prime:
             raise ValidationError("--b/--prime only apply to --space og")
         x = validate_gr(args.k, args.n, _int_list(args.a))
-        verdicts = [gr_rigid_index(x, i) for i in range(1, x.k + 1)]
+        rec = build_record(x)
         if args.json:
             print(
                 json.dumps(
                     {
-                        "space": "G",
-                        "k": x.k,
-                        "n": x.n,
-                        "a": list(x.a),
-                        "dim": gr_dimension(x),
-                        "essential": sorted(gr_essential(x)),
-                        "verdicts": [v.token() for v in verdicts],
-                        "class_rigid": gr_rigid_class(x),
-                        "envelope": list(gr_envelope(x).a),
+                        "space": rec.space,
+                        "k": rec.k,
+                        "n": rec.n,
+                        "a": list(rec.a),
+                        "dim": rec.dim,
+                        "essential": list(rec.essential_a),
+                        "verdicts": list(rec.rigid_a),
+                        "class_rigid": rec.class_rigid,
+                        "envelope": list(rec.envelope),
                     }
                 )
             )
             return 0
-        print(f"{x} @ G({x.k},{x.n})   dim {gr_dimension(x)}")
-        for i, v in enumerate(verdicts, start=1):
-            print(f"  a_{i} = {x.a[i - 1]}: {v.token()}")
-        print(f"  class rigid: {'yes' if gr_rigid_class(x) else 'no'}")
-        print(f"  envelope: {gr_envelope(x)}")
+        print(f"{x} @ G({x.k},{x.n})   dim {rec.dim}")
+        for i, token in enumerate(rec.rigid_a, start=1):
+            print(f"  a_{i} = {x.a[i - 1]}: {token}")
+        print(f"  class rigid: {'yes' if rec.class_rigid else 'no'}")
+        print(f"  envelope: {GrIndex(x.k, x.n, rec.envelope)}")
         return 0
     x = _og_index(args)
     rep = classify_og(x)

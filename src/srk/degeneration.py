@@ -21,13 +21,19 @@ expands the class into Schubert classes of OG(k,n).  Treating the ambient as
 2n+1 instead (terminal = no quadrics left) computes the pushforward of the
 class to the ordinary Grassmannian G(k,n).
 
+There is one derivation path.  ``_step`` always records what it does under
+the trace node it is given, and ``_expand_node`` is the one recursion that
+accumulates child classes.  An untraced expansion steps a throwaway node and
+takes each child's class from ``_expand_cached``, the one cache.  A traced
+expansion runs the same recursion on a fresh root outside the cache, so it
+replays every step and returns the same class as the cached call.
+
 Diagrams are immutable; expansion is deterministic and side-effect free, so
 results may be cached and shared across threads.
 """
 
 from __future__ import annotations
 
-import warnings as _warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -125,13 +131,20 @@ def _try_build(m, brackets, quadrics):
         return None
 
 
-def _discard(node, why):
-    if node is not None:
-        node.children.append(TraceNode(None, "Discard", note=why))
+def _grow(node: TraceNode, diagram, rule: str, note: str | None = None) -> TraceNode:
+    """Record a derived diagram (or, with None, a discard) under ``node``."""
+    child = TraceNode(diagram, rule, note)
+    node.children.append(child)
+    return child
 
 
 def _cond(rep, label):
     return rep.conditions[label][0]
+
+
+def _bump(D: QuadricDiagram, kap: int):
+    """The corank bump D^a before any repair, or None if not representable."""
+    return _try_build(D.m, D.brackets, _raise_corank(D.quadrics, kap))
 
 
 def _fix_a2(cur: QuadricDiagram, kap: int):
@@ -154,12 +167,6 @@ def _split_a1(cur: QuadricDiagram, ambient: int):
     if new_dim < 1:
         return None, "no room left of the innermost brace"
     if new_dim in cur.bracket_dims:
-        _warnings.warn(
-            f"discarding branch of {print_diagram(cur)}: (A1) split would place "
-            f"a second bracket at {new_dim}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
         return None, f"bracket collision at {new_dim}"
     brackets = tuple(sorted(cur.brackets + (Bracket(new_dim, False),)))
     base = _try_build(cur.m, brackets, cur.quadrics[:-1])
@@ -172,7 +179,7 @@ def _split_a1(cur: QuadricDiagram, ambient: int):
     return (base, second), None
 
 
-def _algorithm1(D0: QuadricDiagram, kap: int, ambient: int, node):
+def _algorithm1(D0: QuadricDiagram, kap: int, ambient: int, node: TraceNode):
     """Repair loop for D^a; returns surviving (diagram, trace node) pairs."""
     out = []
     work = [(D0, node)]
@@ -181,30 +188,21 @@ def _algorithm1(D0: QuadricDiagram, kap: int, ambient: int, node):
         for _ in range(4 * cur.m + 8):
             rep = check_conditions(cur)
             if not _cond(rep, "A3"):
-                _discard(cur_node, f"(A3) fails: {rep.witness('A3')}")
+                _grow(cur_node, None, "Discard", f"(A3) fails: {rep.witness('A3')}")
                 break
             if not _cond(rep, "A2"):
                 fixed, why = _fix_a2(cur, kap)
                 if fixed is None:
-                    _discard(cur_node, why)
+                    _grow(cur_node, None, "Discard", why)
                     break
-                child = TraceNode(fixed, "FixA2") if cur_node is not None else None
-                if cur_node is not None:
-                    cur_node.children.append(child)
-                cur, cur_node = fixed, child
+                cur, cur_node = fixed, _grow(cur_node, fixed, "FixA2")
                 continue
             if not _cond(rep, "A1"):
                 pair, why = _split_a1(cur, ambient)
                 if pair is None:
-                    _discard(cur_node, why)
+                    _grow(cur_node, None, "Discard", why)
                     break
-                if cur_node is not None:
-                    for copy in pair:
-                        child = TraceNode(copy, "FixA1Split")
-                        cur_node.children.append(child)
-                        work.append((copy, child))
-                else:
-                    work.extend((copy, None) for copy in pair)
+                work.extend((copy, _grow(cur_node, copy, "FixA1Split")) for copy in pair)
                 break
             if not rep.ok:
                 # the corank rules repair (A1)-(A3) only; a corank bump can
@@ -222,27 +220,24 @@ def _algorithm1(D0: QuadricDiagram, kap: int, ambient: int, node):
     return out
 
 
-def _algorithm1_pairs(D, kap, ambient, trace):
-    Da = _try_build(D.m, D.brackets, _raise_corank(D.quadrics, kap))
+def _derive_a(Da, kap: int, ambient: int, node: TraceNode):
+    """D^a and its repairs, recorded under ``node``."""
     if Da is None:
-        _discard(trace, "corank bump not representable")
+        _grow(node, None, "Discard", "corank bump not representable")
         return []
-    node = None
-    if trace is not None:
-        node = TraceNode(Da, "Da")
-        trace.children.append(node)
-    return _algorithm1(Da, kap, ambient, node)
+    return _algorithm1(Da, kap, ambient, _grow(node, Da, "Da"))
 
 
-def derive_and_fix_a(D: QuadricDiagram, pushforward: bool = False, _trace=None):
+def derive_and_fix_a(D: QuadricDiagram, pushforward: bool = False):
     """Diagrams derived from D^a: usually 0, 1, or 2 of them."""
     kap = kappa(D, pushforward)
     ambient = 2 * D.m + 1 if pushforward else D.m
-    return [d for d, _ in _algorithm1_pairs(D, kap, ambient, _trace)]
+    pairs = _derive_a(_bump(D, kap), kap, ambient, TraceNode(D, "Root"))
+    return [d for d, _ in pairs]
 
 
-def _algorithm2(Db: QuadricDiagram, node):
-    """Repair loop for D^b; returns (diagram, node) or (None, None)."""
+def _algorithm2(Db: QuadricDiagram, node: TraceNode):
+    """Repair loop for D^b; returns [(diagram, node)] or []."""
     cur, cur_node = Db, node
     for _ in range(4 * Db.m + 8):
         viols = [
@@ -256,62 +251,57 @@ def _algorithm2(Db: QuadricDiagram, node):
         p = min(viols)
         i = cur.digit_at(p)
         if i <= 1:
-            _discard(cur_node, f"(A2) at bracket {p} has no brace to move")
-            return None, None
+            _grow(cur_node, None, "Discard", f"(A2) at bracket {p} has no brace to move")
+            return []
         if cur.quadrics[i - 2].r != p - 1:
-            _discard(cur_node, "digit bookkeeping off while repairing (A2)")
-            return None, None
+            _grow(cur_node, None, "Discard", "digit bookkeeping off while repairing (A2)")
+            return []
         nq = list(_raise_corank(cur.quadrics, i - 1))
         nq[i - 2] = Quadric(nq[i - 2].d - 1, nq[i - 2].r)
         built = _try_build(cur.m, cur.brackets, nq)
         if built is None:
-            _discard(cur_node, "two braces would collide")
-            return None, None
-        child = TraceNode(built, "FixB") if cur_node is not None else None
-        if cur_node is not None:
-            cur_node.children.append(child)
-        cur, cur_node = built, child
+            _grow(cur_node, None, "Discard", "two braces would collide")
+            return []
+        cur, cur_node = built, _grow(cur_node, built, "FixB")
     else:
         raise EngineInvariantError(f"(A2) repair loop stuck on {print_diagram(cur)}")
     rep = check_conditions(cur)
     if not rep.ok:
-        _discard(cur_node, f"inadmissible after repairs: {rep.failed()}")
-        return None, None
-    return cur, cur_node
+        _grow(cur_node, None, "Discard", f"inadmissible after repairs: {rep.failed()}")
+        return []
+    return [(cur, cur_node)]
 
 
-def _derive_b_pair(D, kap, trace):
-    quadrics = _raise_corank(D.quadrics, kap)
-    Da = _try_build(D.m, D.brackets, quadrics)
+def _derive_b(Da, kap: int, node: TraceNode):
+    """D^b (a bracket moved in D^a) and its repairs, recorded under ``node``."""
     if Da is None:
-        _discard(trace, "corank bump not representable")
-        return None, None
+        _grow(node, None, "Discard", "corank bump not representable")
+        return []
     p = Da.quadrics[kap - 1].r
     movable = [b for b in Da.brackets if b.dim > p]
     if not movable:
-        return None, None
+        return []
     keep = [b for b in Da.brackets if b is not movable[0]]
     brackets = tuple(sorted(keep + [Bracket(p, False)]))
     Db = _try_build(Da.m, brackets, Da.quadrics)
     if Db is None:
-        _discard(trace, "moved bracket collides")
-        return None, None
-    node = None
-    if trace is not None:
-        node = TraceNode(Db, "Db")
-        trace.children.append(node)
-    return _algorithm2(Db, node)
+        _grow(node, None, "Discard", "moved bracket collides")
+        return []
+    return _algorithm2(Db, _grow(node, Db, "Db"))
 
 
-def derive_and_fix_b(D: QuadricDiagram, pushforward: bool = False, _trace=None):
+def derive_and_fix_b(D: QuadricDiagram, pushforward: bool = False):
     """The diagram derived from D^b, or None when there is no bracket to move
     or the repair gives up."""
     kap = kappa(D, pushforward)
-    out, _ = _derive_b_pair(D, kap, _trace)
-    return out
+    pairs = _derive_b(_bump(D, kap), kap, TraceNode(D, "Root"))
+    return pairs[0][0] if pairs else None
 
 
-def _step_impl(D: QuadricDiagram, push: bool, trace):
+def _step(node: TraceNode, push: bool):
+    """One degeneration step of ``node.diagram``, recorded under ``node``;
+    returns the branch decision and the (child, child node) pairs."""
+    D = node.diagram
     kap = kappa(D, push)
     ambient = 2 * D.m + 1 if push else D.m
     r_kap = D.quadrics[kap - 1].r
@@ -332,34 +322,26 @@ def _step_impl(D: QuadricDiagram, push: bool, trace):
         gap_test = gap > y_kap - kap
         ambiguous = gap_test != (gap > y_all - kap)
 
+    Da = _bump(D, kap)
     if n_s_le_r or gap_test:
         chosen = "DaOnly"
-        pairs = _algorithm1_pairs(D, kap, ambient, trace)
+        pairs = _derive_a(Da, kap, ambient, node)
+    elif Da is None or not _cond(check_conditions(Da), "A3"):
+        chosen = "DbOnly"
+        pairs = _derive_b(Da, kap, node)
     else:
-        bumped = _try_build(D.m, D.brackets, _raise_corank(D.quadrics, kap))
-        da_ok = bumped is not None and _cond(check_conditions(bumped), "A3")
-        if not da_ok:
-            chosen = "DbOnly"
-            b, bnode = _derive_b_pair(D, kap, trace)
-            pairs = [(b, bnode)] if b is not None else []
-        else:
-            chosen = "Both"
-            pairs = _algorithm1_pairs(D, kap, ambient, trace)
-            b, bnode = _derive_b_pair(D, kap, trace)
-            if b is not None:
-                pairs.append((b, bnode))
+        chosen = "Both"
+        pairs = _derive_a(Da, kap, ambient, node) + _derive_b(Da, kap, node)
+    node.note = f"κ={kap} x={x_kap} y={y_kap} → {chosen}"
+    if ambiguous:
+        node.note += " (y-guard readings disagree)"
     decision = BranchDecision(kap, x_kap, y_kap, n_s_le_r, gap_test, chosen, ambiguous)
-    if trace is not None:
-        note = f"κ={kap} x={x_kap} y={y_kap} → {chosen}"
-        if ambiguous:
-            note += " (y-guard readings disagree)"
-        trace.note = note if trace.note is None else f"{trace.note}; {note}"
     return decision, pairs
 
 
 def step(D: QuadricDiagram, pushforward: bool = False):
     """One degeneration step: the branch decision and the derived diagrams."""
-    decision, pairs = _step_impl(D, pushforward, None)
+    decision, pairs = _step(TraceNode(D, "Root"), pushforward)
     return decision, [d for d, _ in pairs]
 
 
@@ -369,16 +351,13 @@ def _terminal_basis(D: QuadricDiagram, push: bool):
     return diagram_to_og(D)
 
 
-def _depth_limit(D: QuadricDiagram) -> int:
-    return 4 * (D.k * D.m + 8)
-
-
-def _expand_node(D, push, node, depth, limit):
-    if depth > limit:
-        raise DepthExceeded(f"derivation deeper than {limit} at {print_diagram(D)}")
+def _expand_node(node: TraceNode, push: bool, traced: bool) -> ClassSum:
+    """Class of ``node.diagram``; a traced call records the whole derivation
+    under ``node``, an untraced one takes each child's class from the cache."""
+    D = node.diagram
     if _is_terminal(D, push):
         return ClassSum.single(_terminal_basis(D, push))
-    _, pairs = _step_impl(D, push, node)
+    _, pairs = _step(node, push)
     acc = {}
     for child, child_node in pairs:
         rep = check_conditions(child)
@@ -386,10 +365,7 @@ def _expand_node(D, push, node, depth, limit):
             raise EngineInvariantError(
                 f"emitted diagram {print_diagram(child)} fails {rep.failed()}"
             )
-        if node is None:
-            sub = _expand_cached(child, push)
-        else:
-            sub = _expand_node(child, push, child_node, depth + 1, limit)
+        sub = _expand_node(child_node, push, True) if traced else _expand_cached(child, push)
         for basis, coeff in sub:
             acc[basis] = acc.get(basis, 0) + coeff
     return ClassSum(acc)
@@ -397,7 +373,7 @@ def _expand_node(D, push, node, depth, limit):
 
 @lru_cache(maxsize=None)
 def _expand_cached(D, push):
-    return _expand_node(D, push, None, 0, _depth_limit(D))
+    return _expand_node(TraceNode(D, "Root"), push, False)
 
 
 def _entry_check(D: QuadricDiagram):
@@ -424,7 +400,7 @@ def _expand_root(D: QuadricDiagram, push: bool, trace: bool, what: str):
         if not trace:
             return _expand_cached(D, push)
         root = TraceNode(D, "Root")
-        return _expand_node(D, push, root, 0, _depth_limit(D)), root
+        return _expand_node(root, push, True), root
     except RecursionError:
         raise DepthExceeded(f"{what} of {print_diagram(D)} does not bottom out")
 

@@ -115,6 +115,27 @@ def test_cli_classify_gr():
     assert out.returncode == 0 and "envelope: σ_{1,4,5}" in out.stdout
 
 
+def test_cli_classify_gr_exact_output():
+    args = ("classify", "--space", "g", "--k", "3", "--n", "6", "--a", "1,3,5")
+    human = run_cli(*args)
+    assert human.returncode == 0
+    assert human.stdout == (
+        "σ_{1,3,5} @ G(3,6)   dim 3\n"
+        "  a_1 = 1: rigid:G-2\n"
+        "  a_2 = 3: not_rigid\n"
+        "  a_3 = 5: rigid:G-1\n"
+        "  class rigid: no\n"
+        "  envelope: σ_{1,4,5}\n"
+    )
+    js = run_cli(*args, "--json")
+    assert js.returncode == 0
+    assert js.stdout == (
+        '{"space": "G", "k": 3, "n": 6, "a": [1, 3, 5], "dim": 3, '
+        '"essential": [1, 2, 3], "verdicts": ["rigid:G-2", "not_rigid", '
+        '"rigid:G-1"], "class_rigid": false, "envelope": [1, 4, 5]}\n'
+    )
+
+
 def test_cli_expand_with_merge_and_trace():
     out = run_cli("expand", "--n", "6", "--diagram", "00]000}0", "--merge-primes")
     assert out.returncode == 0

@@ -1,26 +1,34 @@
 """The degeneration engine: branch selection, repairs, expansion, pushforward."""
 
+from collections import Counter
+from functools import lru_cache
+
 import pytest
 
+import srk.degeneration as deg
 from srk import (
     Bracket,
     ClassSum,
+    GrIndex,
     Quadric,
     QuadricDiagram,
     check_conditions,
     derive_and_fix_a,
     derive_and_fix_b,
+    diagram_to_og,
+    enumerate_diagrams,
     expand,
     kappa,
     merge_primes,
     parse_diagram,
+    print_diagram,
     pushforward,
     pushforward_diagram,
     step,
     validate_gr,
     validate_og,
 )
-from srk.errors import AlreadyTerminal, EngineInvariantError, NotAdmissible
+from srk.errors import AlreadyTerminal, DepthExceeded, EngineInvariantError, NotAdmissible
 
 
 def D(m, brackets=(), quadrics=()):
@@ -199,5 +207,55 @@ def test_merge_primes():
 
 def test_expansion_is_deterministic_and_cached():
     first = expand(parse_diagram("00]000}0"))
+    hits = deg._expand_cached.cache_info().hits
     second = expand(parse_diagram("00]000}0"))
     assert first == second and str(first) == str(second)
+    assert deg._expand_cached.cache_info().hits == hits + 1
+
+
+def _surviving_leaves(node):
+    if node.diagram is None:
+        return
+    if not node.children:
+        yield node.diagram
+    for child in node.children:
+        yield from _surviving_leaves(child)
+
+
+def test_replayed_trace_agrees_with_cached_class():
+    """Over every admissible diagram of k <= 3, m <= 8, in both modes: the
+    traced class equals the cached one, every surviving leaf of the trace is
+    terminal, and the leaves' basis elements sum to the class."""
+    cases = 0
+    for k in range(1, 4):
+        for m in range(2 * k, 9):
+            for D in enumerate_diagrams(k, m):
+                for run, push in ((expand, False), (pushforward_diagram, True)):
+                    traced, root = run(D, trace=True)
+                    assert traced == run(D), print_diagram(D)
+                    leaves = list(_surviving_leaves(root))
+                    if push:
+                        assert all(not L.quadrics for L in leaves)
+                        basis = [GrIndex(L.k, L.m, L.bracket_dims) for L in leaves]
+                    else:
+                        assert all(s == L.m for L in leaves for s in L.sums)
+                        basis = [diagram_to_og(L) for L in leaves]
+                    assert ClassSum(Counter(basis)) == traced, print_diagram(D)
+                    cases += 1
+    assert cases == 686
+
+
+def test_endless_derivation_raises_depth_exceeded(monkeypatch):
+    def endless(node, push):
+        # the input diagram comes back as its own child, forever
+        return None, [(node.diagram, deg._grow(node, node.diagram, "Da"))]
+
+    monkeypatch.setattr(deg, "_step", endless)
+    # a private cache, so that no class cached by another test short-cuts it
+    monkeypatch.setattr(
+        deg, "_expand_cached", lru_cache(maxsize=None)(deg._expand_cached.__wrapped__)
+    )
+    for trace in (False, True):
+        for run in (expand, pushforward_diagram):
+            with pytest.raises(DepthExceeded, match="does not bottom out"):
+                run(CONE_POINT, trace=trace)

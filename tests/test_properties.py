@@ -80,17 +80,6 @@ def test_out_of_family_derivation_fails_loudly():
         expand(exotic)
 
 
-def test_pushforward_terms_share_one_dimension_per_index():
-    from srk import pushforward
-    from srk.grassmannian import gr_dimension
-
-    for k in range(1, 4):
-        for n in range(2 * k, 10):
-            for x in enumerate_og(k, n):
-                dims = {gr_dimension(t) for t, _ in pushforward(x)}
-                assert len(dims) == 1, str(x)
-
-
 def test_og_dimension_matches_engine_derived_dimension():
     """The closed-form og_dimension equals the one dimension of the terms of
     pushforward(x), over every index of k <= 4, n <= 12 (primed ones and the
