@@ -21,6 +21,12 @@ Admissibility conditions checked here, by label:
   (A2)  n_i - r_j != 1 for every bracket/quadric pair;
   (A3)  x_j >= k - j + 1 - floor((d_j - r_j)/2), where x_j = #{i : n_i <= r_j}.
 
+``enumerate_diagrams`` prunes each quadric chain while generating it: a
+corank that breaks flag existence, or (admissible mode) a rule among
+(A1)-(A3) that involves only that quadric and the brackets, is skipped with
+its whole subtree.  Every surviving diagram is still constructed and fully
+checked, so ``check_conditions`` alone decides admissibility.
+
 Diagrams are immutable; every function here is pure.
 """
 
@@ -35,6 +41,7 @@ from .errors import (
     InconsistentDigits,
     InvalidDiagram,
     MarkerMisplaced,
+    OutOfBounds,
 )
 
 
@@ -404,21 +411,46 @@ def parse_diagram(text: str) -> QuadricDiagram:
 
 # --- enumeration -----------------------------------------------------------
 
-def _quadric_profiles(q, m, min_d):
-    """All (d, r) chains: d strictly decreasing >= min_d, r nondecreasing,
-    r_j <= d_j and d_j + r_j <= m.  Deterministic order."""
+def _quadric_profiles(q, m, dims, k, admissible_only):
+    """All (d, r) chains that can sit under the brackets ``dims`` in a
+    k-part diagram: d strictly decreasing >= the largest bracket, r
+    nondecreasing, r_j <= d_j and d_j + r_j <= m.  Deterministic order.
+
+    While the chain is filled, a corank is skipped as soon as its quadric
+    breaks a rule that involves only itself and the brackets, so no chain
+    is built that must fail:
+
+      flag existence  r_j >= 2 n_s - d_j (the constructor's rule, both modes);
+      (A1)            r_q <= d_q - 3 on the innermost quadric;
+      (A2)            r_j + 1 is not a bracket dimension;
+      (A3)            #{i : n_i <= r_j} >= k - j + 1 - floor((d_j - r_j)/2).
+
+    (A1)-(A3) prune only with ``admissible_only``.  The skipped coranks
+    would all fail later, so the survivors come in the same order as in an
+    unpruned loop.
+    """
     if q == 0:
         yield ()
         return
-    for dset in combinations(range(min_d, m + 1), q):
+    top = dims[-1] if dims else 0
+    for dset in combinations(range(max(top, 1), m + 1), q):
         ds = tuple(reversed(dset))  # d_1 > ... > d_q
 
         def fill(j, prev_r, acc):
             if j == q:
                 yield tuple(acc)
                 return
-            cap = min(ds[j], m - ds[j])
-            for r in range(prev_r, cap + 1):
+            d = ds[j]
+            cap = min(d, m - d)
+            if admissible_only and j == q - 1:
+                cap = min(cap, d - 3)  # (A1)
+            for r in range(max(prev_r, 2 * top - d), cap + 1):
+                # (A2), then (A3) for the quadric numbered j + 1
+                if admissible_only and (
+                    r + 1 in dims
+                    or sum(1 for v in dims if v <= r) < k - j - (d - r) // 2
+                ):
+                    continue
                 acc.append(r)
                 yield from fill(j + 1, r, acc)
                 acc.pop()
@@ -433,7 +465,13 @@ def enumerate_diagrams(k: int, m: int, admissible_only: bool = True):
     Brackets range over isotropic dimensions (<= m/2, primed variants when a
     bracket sits exactly at m/2), quadrics over chains with d_j + r_j <= m.
     With ``admissible_only`` the conditions (1)-(3), (A1)-(A3) must all pass.
+    ``_quadric_profiles`` never builds a chain that breaks flag existence or,
+    with ``admissible_only``, (A1)-(A3); every survivor is still constructed
+    and, with ``admissible_only``, fully checked, so the check decides.
+    Raises ``OutOfBounds`` when k < 1 or m < 1.
     """
+    if k < 1 or m < 1:
+        raise OutOfBounds(f"need k >= 1 and m >= 1, got k={k}, m={m}")
     half = m // 2
     for s in range(0, k + 1):
         q = k - s
@@ -443,13 +481,9 @@ def enumerate_diagrams(k: int, m: int, admissible_only: bool = True):
                 variants.append(
                     tuple(Bracket(v) for v in dims[:-1]) + (Bracket(dims[-1], True),)
                 )
-            min_d = dims[-1] if dims else 1
             for brackets in variants:
-                for quadrics in _quadric_profiles(q, m, min_d):
-                    try:
-                        D = QuadricDiagram(m, brackets, quadrics)
-                    except InvalidDiagram:
-                        continue
+                for quadrics in _quadric_profiles(q, m, dims, k, admissible_only):
+                    D = QuadricDiagram(m, brackets, quadrics)
                     if admissible_only and not check_conditions(D).ok:
                         continue
                     yield D

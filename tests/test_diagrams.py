@@ -1,5 +1,7 @@
 """Quadric diagrams: structure, admissibility conditions, text grammar."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,11 +15,13 @@ from srk import (
     parse_diagram,
     print_diagram,
 )
+from srk import diagrams
 from srk.errors import (
     DiagramSyntaxError,
     InconsistentDigits,
     InvalidDiagram,
     MarkerMisplaced,
+    OutOfBounds,
 )
 
 
@@ -152,3 +156,76 @@ def test_enumeration_is_deterministic_and_admissible():
     second = list(enumerate_diagrams(2, 7))
     assert first == second
     assert all(check_conditions(d).ok for d in first)
+
+
+def _unpruned_diagrams(k, m, admissible_only=True):
+    """Reference enumeration without pruning: every bracket set and every
+    quadric chain is constructed, constructor rejections are skipped, and
+    admissibility is decided by the full check alone."""
+    half = m // 2
+    for s in range(0, k + 1):
+        q = k - s
+        for dims in combinations(range(1, half + 1), s):
+            variants = [tuple(Bracket(v) for v in dims)]
+            if dims and 2 * dims[-1] == m:
+                variants.append(
+                    tuple(Bracket(v) for v in dims[:-1]) + (Bracket(dims[-1], True),)
+                )
+            min_d = dims[-1] if dims else 1
+            for brackets in variants:
+                for quadrics in _unpruned_chains(q, m, min_d):
+                    try:
+                        d = QuadricDiagram(m, brackets, quadrics)
+                    except InvalidDiagram:
+                        continue
+                    if admissible_only and not check_conditions(d).ok:
+                        continue
+                    yield d
+
+
+def _unpruned_chains(q, m, min_d):
+    """Every (d, r) chain: d strictly decreasing >= min_d, r nondecreasing,
+    r_j <= d_j and d_j + r_j <= m."""
+    if q == 0:
+        yield ()
+        return
+    for dset in combinations(range(min_d, m + 1), q):
+        ds = tuple(reversed(dset))
+
+        def fill(j, prev_r, acc):
+            if j == q:
+                yield tuple(acc)
+                return
+            for r in range(prev_r, min(ds[j], m - ds[j]) + 1):
+                acc.append(r)
+                yield from fill(j + 1, r, acc)
+                acc.pop()
+
+        for rs in fill(0, 0, []):
+            yield tuple(Quadric(d, r) for d, r in zip(ds, rs))
+
+
+@pytest.mark.parametrize("admissible_only", [True, False])
+def test_pruned_enumeration_matches_unpruned_reference(admissible_only, monkeypatch):
+    """Same diagrams in the same order as the reference, and the pruning is
+    complete: a chain that reaches the full check can fail only (3)."""
+    failed = set()
+
+    def recording_check(d):
+        rep = check_conditions(d)
+        failed.update(rep.failed())
+        return rep
+
+    monkeypatch.setattr(diagrams, "check_conditions", recording_check)
+    spaces = [(k, m) for k in range(1, 4) for m in range(1, 13)] + [(4, 9), (4, 10)]
+    for k, m in spaces:
+        got = list(enumerate_diagrams(k, m, admissible_only))
+        assert got == list(_unpruned_diagrams(k, m, admissible_only)), (k, m)
+    assert failed <= {"3"}
+
+
+@pytest.mark.parametrize("k,m", [(0, 5), (3, 0), (-1, 4)])
+def test_enumeration_of_an_empty_range_raises(k, m):
+    for admissible_only in (True, False):
+        with pytest.raises(OutOfBounds):
+            list(enumerate_diagrams(k, m, admissible_only))

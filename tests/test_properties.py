@@ -45,6 +45,22 @@ def test_schubert_diagrams_of_enumerated_indices_are_admissible():
                     assert diagram_to_og(D) == x
 
 
+def test_terminal_admissible_diagrams_are_the_schubert_diagrams():
+    """Up to k = 6, the admissible diagrams with every d_j + r_j = m are
+    exactly the Schubert diagrams of the enumerated indices, and every
+    admissible diagram fits the isotropic and ambient bounds that expand
+    checks on entry."""
+    spaces = [(k, m) for k in range(1, 6) for m in range(2 * k, 13)]
+    for k, m in spaces + [(6, 12), (6, 13)]:
+        terminal = set()
+        for D in enumerate_diagrams(k, m, admissible_only=True):
+            assert not D.brackets or 2 * D.bracket_dims[-1] <= m, str(D)
+            assert all(s <= m for s in D.sums), str(D)
+            if _schubert_like(D):
+                terminal.add(D)
+        assert terminal == {og_to_diagram(x) for x in enumerate_og(k, m)}, (k, m)
+
+
 def test_step_children_remain_admissible():
     for k in range(1, 4):
         for m in range(2 * k, 9):

@@ -34,6 +34,7 @@ from srk.errors import (
     ValidationError,
 )
 from srk.orthogonal import needs_rewrite
+from test_diagrams import _unpruned_diagrams
 
 
 def test_counts():
@@ -147,15 +148,15 @@ def test_witness_for_rewritten_boundary_position():
 
 
 def _reference_scan(x, position):
-    """The witness scan without memos: a fresh enumeration per query and the
-    traced expansion, which bypasses the expansion cache.  Returns (1-based
-    scan count, witness) or (None, None)."""
+    """The witness scan without memos: a fresh unpruned reference enumeration
+    per query and the traced expansion, which bypasses the expansion cache.
+    Returns (1-based scan count, witness) or (None, None)."""
     kind, idx = position
     cx = canonical_index(x)
     if needs_rewrite(x) and kind == "b" and idx == len(x.b):
         kind, idx = "a", cx.s
     target = ClassSum.single(cx)
-    for count, D in enumerate(enumerate_diagrams(x.k, x.n), start=1):
+    for count, D in enumerate(_unpruned_diagrams(x.k, x.n), start=1):
         if rigidity._omits_assertion(D, cx, kind, idx) and expand(D, trace=True)[0] == target:
             return count, D
     return None, None
