@@ -97,11 +97,15 @@ def _og_index(args):
     )
 
 
+def _gr_index(args):
+    if args.b or args.prime:
+        raise ValidationError("--b/--prime only apply to --space og")
+    return validate_gr(args.k, args.n, _int_list(args.a))
+
+
 def _cmd_classify(args):
     if args.space == "g":
-        if args.b or args.prime:
-            raise ValidationError("--b/--prime only apply to --space og")
-        x = validate_gr(args.k, args.n, _int_list(args.a))
+        x = _gr_index(args)
         rec = build_record(x)
         if args.json:
             print(
@@ -195,9 +199,7 @@ def _cmd_witness(args):
 
 def _cmd_dim(args):
     if args.space == "g":
-        if args.b or args.prime:
-            raise ValidationError("--b/--prime only apply to --space og")
-        print(gr_dimension(validate_gr(args.k, args.n, _int_list(args.a))))
+        print(gr_dimension(_gr_index(args)))
     else:
         print(og_dimension(_og_index(args)))
     return 0

@@ -28,6 +28,12 @@ takes each child's class from ``_expand_cached``, the one cache.  A traced
 expansion runs the same recursion on a fresh root outside the cache, so it
 replays every step and returns the same class as the cached call.
 
+Admissibility is decided once per diagram.  ``_entry_check`` checks a root at
+the API boundary.  A derived diagram is checked only inside the repair loops:
+``_algorithm1`` and ``_algorithm2`` emit a child only after its report passes,
+so the recursion never checks a child again, and the (A3) probe that picks
+``Both`` hands its report on to ``_algorithm1``.
+
 Diagrams are immutable; expansion is deterministic and side-effect free, so
 results may be cached and shared across threads.
 """
@@ -179,14 +185,17 @@ def _split_a1(cur: QuadricDiagram, ambient: int):
     return (base, second), None
 
 
-def _algorithm1(D0: QuadricDiagram, kap: int, ambient: int, node: TraceNode):
-    """Repair loop for D^a; returns surviving (diagram, trace node) pairs."""
+def _algorithm1(Da: QuadricDiagram, kap: int, ambient: int, node: TraceNode, rep=None):
+    """D^a, recorded under ``node``, and its repair loop, which starts from
+    D^a's report ``rep`` when the caller has one; returns the surviving
+    (diagram, trace node) pairs."""
     out = []
-    work = [(D0, node)]
+    work = [(Da, _grow(node, Da, "Da"), rep)]
     while work:
-        cur, cur_node = work.pop(0)
+        cur, cur_node, rep = work.pop(0)
         for _ in range(4 * cur.m + 8):
-            rep = check_conditions(cur)
+            if rep is None:
+                rep = check_conditions(cur)
             if not _cond(rep, "A3"):
                 _grow(cur_node, None, "Discard", f"(A3) fails: {rep.witness('A3')}")
                 break
@@ -195,14 +204,14 @@ def _algorithm1(D0: QuadricDiagram, kap: int, ambient: int, node: TraceNode):
                 if fixed is None:
                     _grow(cur_node, None, "Discard", why)
                     break
-                cur, cur_node = fixed, _grow(cur_node, fixed, "FixA2")
+                cur, cur_node, rep = fixed, _grow(cur_node, fixed, "FixA2"), None
                 continue
             if not _cond(rep, "A1"):
                 pair, why = _split_a1(cur, ambient)
                 if pair is None:
                     _grow(cur_node, None, "Discard", why)
                     break
-                work.extend((copy, _grow(cur_node, copy, "FixA1Split")) for copy in pair)
+                work.extend((copy, _grow(cur_node, copy, "FixA1Split"), None) for copy in pair)
                 break
             if not rep.ok:
                 # the corank rules repair (A1)-(A3) only; a corank bump can
@@ -220,19 +229,12 @@ def _algorithm1(D0: QuadricDiagram, kap: int, ambient: int, node: TraceNode):
     return out
 
 
-def _derive_a(Da, kap: int, ambient: int, node: TraceNode):
-    """D^a and its repairs, recorded under ``node``."""
-    if Da is None:
-        _grow(node, None, "Discard", "corank bump not representable")
-        return []
-    return _algorithm1(Da, kap, ambient, _grow(node, Da, "Da"))
-
-
 def derive_and_fix_a(D: QuadricDiagram, pushforward: bool = False):
     """Diagrams derived from D^a: usually 0, 1, or 2 of them."""
     kap = kappa(D, pushforward)
     ambient = 2 * D.m + 1 if pushforward else D.m
-    pairs = _derive_a(_bump(D, kap), kap, ambient, TraceNode(D, "Root"))
+    Da = _bump(D, kap)
+    pairs = [] if Da is None else _algorithm1(Da, kap, ambient, TraceNode(D, "Root"))
     return [d for d, _ in pairs]
 
 
@@ -253,12 +255,8 @@ def _algorithm2(Db: QuadricDiagram, node: TraceNode):
         if i <= 1:
             _grow(cur_node, None, "Discard", f"(A2) at bracket {p} has no brace to move")
             return []
-        if cur.quadrics[i - 2].r != p - 1:
-            _grow(cur_node, None, "Discard", "digit bookkeeping off while repairing (A2)")
-            return []
-        nq = list(_raise_corank(cur.quadrics, i - 1))
-        nq[i - 2] = Quadric(nq[i - 2].d - 1, nq[i - 2].r)
-        built = _try_build(cur.m, cur.brackets, nq)
+        # p = r_j + 1 and r_{i-1} < p <= r_i force r_{i-1} = p - 1
+        built, _ = _fix_a2(cur, i - 1)
         if built is None:
             _grow(cur_node, None, "Discard", "two braces would collide")
             return []
@@ -274,9 +272,6 @@ def _algorithm2(Db: QuadricDiagram, node: TraceNode):
 
 def _derive_b(Da, kap: int, node: TraceNode):
     """D^b (a bracket moved in D^a) and its repairs, recorded under ``node``."""
-    if Da is None:
-        _grow(node, None, "Discard", "corank bump not representable")
-        return []
     p = Da.quadrics[kap - 1].r
     movable = [b for b in Da.brackets if b.dim > p]
     if not movable:
@@ -294,7 +289,8 @@ def derive_and_fix_b(D: QuadricDiagram, pushforward: bool = False):
     """The diagram derived from D^b, or None when there is no bracket to move
     or the repair gives up."""
     kap = kappa(D, pushforward)
-    pairs = _derive_b(_bump(D, kap), kap, TraceNode(D, "Root"))
+    Da = _bump(D, kap)
+    pairs = [] if Da is None else _derive_b(Da, kap, TraceNode(D, "Root"))
     return pairs[0][0] if pairs else None
 
 
@@ -323,15 +319,19 @@ def _step(node: TraceNode, push: bool):
         ambiguous = gap_test != (gap > y_all - kap)
 
     Da = _bump(D, kap)
-    if n_s_le_r or gap_test:
+    if Da is None:
+        chosen = "DaOnly" if n_s_le_r or gap_test else "DbOnly"
+        _grow(node, None, "Discard", "corank bump not representable")
+        pairs = []
+    elif n_s_le_r or gap_test:
         chosen = "DaOnly"
-        pairs = _derive_a(Da, kap, ambient, node)
-    elif Da is None or not _cond(check_conditions(Da), "A3"):
+        pairs = _algorithm1(Da, kap, ambient, node)
+    elif not _cond(rep := check_conditions(Da), "A3"):
         chosen = "DbOnly"
         pairs = _derive_b(Da, kap, node)
     else:
         chosen = "Both"
-        pairs = _derive_a(Da, kap, ambient, node) + _derive_b(Da, kap, node)
+        pairs = _algorithm1(Da, kap, ambient, node, rep) + _derive_b(Da, kap, node)
     node.note = f"κ={kap} x={x_kap} y={y_kap} → {chosen}"
     if ambiguous:
         node.note += " (y-guard readings disagree)"
@@ -360,11 +360,6 @@ def _expand_node(node: TraceNode, push: bool, traced: bool) -> ClassSum:
     _, pairs = _step(node, push)
     acc = {}
     for child, child_node in pairs:
-        rep = check_conditions(child)
-        if not rep.ok:
-            raise EngineInvariantError(
-                f"emitted diagram {print_diagram(child)} fails {rep.failed()}"
-            )
         sub = _expand_node(child_node, push, True) if traced else _expand_cached(child, push)
         for basis, coeff in sub:
             acc[basis] = acc.get(basis, 0) + coeff

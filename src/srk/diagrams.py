@@ -194,15 +194,9 @@ def check_conditions(D: QuadricDiagram) -> AdmissibilityReport:
     ds, rs, dims = D.ds, D.rs, D.bracket_dims
     q = D.q
 
-    # (1): nondecreasing coranks, r_j <= d_j.  The constructor enforces this,
-    # so it can fail only for reports built on hypothetical data; keep the
-    # check so the report is self-contained.
-    ok1, wit1 = True, None
-    for j in range(1, q):
-        if rs[j] < rs[j - 1]:
-            ok1, wit1 = False, f"r_{j + 1} < r_{j}"
-            break
-    rep.conditions["1"] = (ok1, wit1)
+    # (1): nondecreasing coranks, r_j <= d_j.  The constructor rejects any
+    # diagram that breaks it, so it holds for every QuadricDiagram.
+    rep.conditions["1"] = (True, None)
 
     # (2): the containment pattern between flag elements and singular loci is
     # exactly what the digit/bracket layout encodes.

@@ -43,6 +43,8 @@ class OgIndex:
         object.__setattr__(self, "a", tuple(self.a))
         object.__setattr__(self, "b", tuple(self.b))
         k, n, a, b = self.k, self.n, self.a, self.b
+        if k < 1:
+            raise Bounds(f"need k >= 1, got {k}")
         if n < 2 * k:
             raise NoIsotropicRoom(f"OG({k},{n}): need n >= 2k")
         if len(a) + len(b) != k:

@@ -235,6 +235,21 @@ def test_cli_validation_error_exit_code():
     assert out.returncode == 2 and "splits" in out.stderr
 
 
+def test_cli_rejects_empty_og_index():
+    for command in ("classify", "dim"):
+        out = run_cli(command, "--space", "og", "--k", "0", "--n", "4", "--a", "-")
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("error: need k >= 1, got 0")
+
+
+def test_cli_og_only_options_rejected_for_g():
+    for command in ("classify", "dim"):
+        for extra in (("--b", "1"), ("--prime",)):
+            out = run_cli(command, "--space", "g", "--k", "2", "--n", "5", "--a", "1,3", *extra)
+            assert out.returncode == 2 and out.stdout == ""
+            assert out.stderr.startswith("error: --b/--prime only apply to --space og")
+
+
 def test_cli_enumerate_writes_catalog(tmp_path):
     target = tmp_path / "og27.jsonl"
     out = run_cli(

@@ -245,6 +245,24 @@ def test_replayed_trace_agrees_with_cached_class():
     assert cases == 686
 
 
+def test_expansion_checks_each_diagram_once(monkeypatch):
+    checked = Counter()
+
+    def counting(D):
+        checked[D] += 1
+        return check_conditions(D)
+
+    monkeypatch.setattr(deg, "check_conditions", counting)
+    # a private cache, so that every step of the derivation runs here
+    monkeypatch.setattr(
+        deg, "_expand_cached", lru_cache(maxsize=None)(deg._expand_cached.__wrapped__)
+    )
+    expand(CONE_POINT)
+    twice = sorted(print_diagram(D) for D, calls in checked.items() if calls > 1)
+    assert checked[CONE_POINT] == 1
+    assert twice == []
+
+
 def test_endless_derivation_raises_depth_exceeded(monkeypatch):
     def endless(node, push):
         # the input diagram comes back as its own child, forever

@@ -51,6 +51,8 @@ def test_validate_splits_into_two_with_diagnostic():
         (dict(k=2, n=6, a=[1], b=[3]), Bounds),
         (dict(k=2, n=6, a=[2, 1], b=[]), NotStrictlyIncreasing),
         (dict(k=3, n=8, a=[1], b=[3]), BadArity),
+        (dict(k=0, n=0, a=[], b=[]), Bounds),
+        (dict(k=0, n=4, a=[], b=[]), Bounds),
     ],
 )
 def test_validate_rejects(kwargs, err):
