@@ -28,11 +28,19 @@ takes each child's class from ``_expand_cached``, the one cache.  A traced
 expansion runs the same recursion on a fresh root outside the cache, so it
 replays every step and returns the same class as the cached call.
 
-Admissibility is decided once per diagram.  ``_entry_check`` checks a root at
-the API boundary.  A derived diagram is checked only inside the repair loops:
-``_algorithm1`` and ``_algorithm2`` emit a child only after its report passes,
-so the recursion never checks a child again, and the (A3) probe that picks
-``Both`` hands its report on to ``_algorithm1``.
+Admissibility is the one contract of every step, decided once per diagram.
+Every public entry (``expand``, ``pushforward_diagram``, ``step`` and
+``derive_and_fix_a/b``) checks its root with ``_entry_check``.  A derived
+diagram is checked only inside the repair loops: ``_algorithm1`` and
+``_algorithm2`` emit a child only after its report passes, so the recursion
+never checks a child again, and the (A3) probe that picks ``Both`` hands its
+report on to ``_algorithm1``.  Every diagram a step starts from is therefore
+admissible, and these constructions rely on it: ``_bump`` builds D^a directly
+((A1) keeps each raised corank below every d_j); ``_derive_b`` moves its
+bracket onto r_kappa + 1 directly ((A2) keeps that position free);
+``_algorithm2`` always finds a brace to slide, because no D^b iterate has a
+bracket at r_q + 1; and ``_algorithm1``'s (A2) repair always finds quadric
+kappa, because a copy split off at quadric kappa never fails (A2).
 
 Diagrams are immutable; expansion is deterministic and side-effect free, so
 results may be cached and shared across threads.
@@ -148,41 +156,33 @@ def _cond(rep, label):
     return rep.conditions[label][0]
 
 
-def _bump(D: QuadricDiagram, kap: int):
-    """The corank bump D^a before any repair, or None if not representable."""
-    return _try_build(D.m, D.brackets, _raise_corank(D.quadrics, kap))
+def _bump(D: QuadricDiagram, kap: int) -> QuadricDiagram:
+    """The corank bump D^a before any repair.  (A1) gives r_q <= d_q - 3, so
+    every raised corank stays below every d_j."""
+    return QuadricDiagram(D.m, D.brackets, _raise_corank(D.quadrics, kap))
 
 
 def _fix_a2(cur: QuadricDiagram, kap: int):
-    """One (A2) repair: raise quadric kappa's corank and slide its brace left."""
-    if kap > cur.q:
-        return None, "fix target quadric no longer present"
+    """One (A2) repair: raise quadric kappa's corank and slide its brace left;
+    None when the brace runs into its neighbour."""
     nq = list(_raise_corank(cur.quadrics, kap))
     nq[kap - 1] = Quadric(nq[kap - 1].d - 1, nq[kap - 1].r)
-    built = _try_build(cur.m, cur.brackets, nq)
-    if built is None:
-        return None, "structural collision while repairing (A2)"
-    return built, None
+    return _try_build(cur.m, cur.brackets, nq)
 
 
 def _split_a1(cur: QuadricDiagram, ambient: int):
     """Degenerate the innermost quadric into a bracket one position left;
-    returns the two copies, the second primed when the rule applies."""
-    dq = cur.quadrics[-1].d
-    new_dim = dq - 1
-    if new_dim < 1:
-        return None, "no room left of the innermost brace"
-    if new_dim in cur.bracket_dims:
-        return None, f"bracket collision at {new_dim}"
-    brackets = tuple(sorted(cur.brackets + (Bracket(new_dim, False),)))
+    returns the two copies, the second primed when the rule applies, or None
+    when the new bracket does not fit."""
+    brackets = sorted(cur.brackets + (Bracket(cur.quadrics[-1].d - 1, False),))
     base = _try_build(cur.m, brackets, cur.quadrics[:-1])
     if base is None:
-        return None, "structural collision while splitting (A1)"
+        return None
     second = base
     if ambient % 2 == 0 and 2 * base.brackets[-1].dim == ambient:
         primed = base.brackets[:-1] + (Bracket(base.brackets[-1].dim, True),)
         second = QuadricDiagram(base.m, primed, base.quadrics)
-    return (base, second), None
+    return base, second
 
 
 def _algorithm1(Da: QuadricDiagram, kap: int, ambient: int, node: TraceNode, rep=None):
@@ -200,16 +200,16 @@ def _algorithm1(Da: QuadricDiagram, kap: int, ambient: int, node: TraceNode, rep
                 _grow(cur_node, None, "Discard", f"(A3) fails: {rep.witness('A3')}")
                 break
             if not _cond(rep, "A2"):
-                fixed, why = _fix_a2(cur, kap)
+                fixed = _fix_a2(cur, kap)
                 if fixed is None:
-                    _grow(cur_node, None, "Discard", why)
+                    _grow(cur_node, None, "Discard", "structural collision while repairing (A2)")
                     break
                 cur, cur_node, rep = fixed, _grow(cur_node, fixed, "FixA2"), None
                 continue
             if not _cond(rep, "A1"):
-                pair, why = _split_a1(cur, ambient)
+                pair = _split_a1(cur, ambient)
                 if pair is None:
-                    _grow(cur_node, None, "Discard", why)
+                    _grow(cur_node, None, "Discard", "structural collision while splitting (A1)")
                     break
                 work.extend((copy, _grow(cur_node, copy, "FixA1Split"), None) for copy in pair)
                 break
@@ -231,10 +231,10 @@ def _algorithm1(Da: QuadricDiagram, kap: int, ambient: int, node: TraceNode, rep
 
 def derive_and_fix_a(D: QuadricDiagram, pushforward: bool = False):
     """Diagrams derived from D^a: usually 0, 1, or 2 of them."""
+    _entry_check(D)
     kap = kappa(D, pushforward)
     ambient = 2 * D.m + 1 if pushforward else D.m
-    Da = _bump(D, kap)
-    pairs = [] if Da is None else _algorithm1(Da, kap, ambient, TraceNode(D, "Root"))
+    pairs = _algorithm1(_bump(D, kap), kap, ambient, TraceNode(D, "Root"))
     return [d for d, _ in pairs]
 
 
@@ -251,12 +251,9 @@ def _algorithm2(Db: QuadricDiagram, node: TraceNode):
         if not viols:
             break
         p = min(viols)
-        i = cur.digit_at(p)
-        if i <= 1:
-            _grow(cur_node, None, "Discard", f"(A2) at bracket {p} has no brace to move")
-            return []
-        # p = r_j + 1 and r_{i-1} < p <= r_i force r_{i-1} = p - 1
-        built, _ = _fix_a2(cur, i - 1)
+        # no bracket sits at r_q + 1, so p <= r_q and the digit i at p is at
+        # least 2; p = r_j + 1 and r_{i-1} < p <= r_i force r_{i-1} = p - 1
+        built = _fix_a2(cur, cur.digit_at(p) - 1)
         if built is None:
             _grow(cur_node, None, "Discard", "two braces would collide")
             return []
@@ -277,20 +274,17 @@ def _derive_b(Da, kap: int, node: TraceNode):
     if not movable:
         return []
     keep = [b for b in Da.brackets if b is not movable[0]]
-    brackets = tuple(sorted(keep + [Bracket(p, False)]))
-    Db = _try_build(Da.m, brackets, Da.quadrics)
-    if Db is None:
-        _grow(node, None, "Discard", "moved bracket collides")
-        return []
+    # (A2) keeps p off the brackets, and the move never raises the top one
+    Db = QuadricDiagram(Da.m, sorted(keep + [Bracket(p, False)]), Da.quadrics)
     return _algorithm2(Db, _grow(node, Db, "Db"))
 
 
 def derive_and_fix_b(D: QuadricDiagram, pushforward: bool = False):
     """The diagram derived from D^b, or None when there is no bracket to move
     or the repair gives up."""
+    _entry_check(D)
     kap = kappa(D, pushforward)
-    Da = _bump(D, kap)
-    pairs = [] if Da is None else _derive_b(Da, kap, TraceNode(D, "Root"))
+    pairs = _derive_b(_bump(D, kap), kap, TraceNode(D, "Root"))
     return pairs[0][0] if pairs else None
 
 
@@ -319,11 +313,7 @@ def _step(node: TraceNode, push: bool):
         ambiguous = gap_test != (gap > y_all - kap)
 
     Da = _bump(D, kap)
-    if Da is None:
-        chosen = "DaOnly" if n_s_le_r or gap_test else "DbOnly"
-        _grow(node, None, "Discard", "corank bump not representable")
-        pairs = []
-    elif n_s_le_r or gap_test:
+    if n_s_le_r or gap_test:
         chosen = "DaOnly"
         pairs = _algorithm1(Da, kap, ambient, node)
     elif not _cond(rep := check_conditions(Da), "A3"):
@@ -341,6 +331,7 @@ def _step(node: TraceNode, push: bool):
 
 def step(D: QuadricDiagram, pushforward: bool = False):
     """One degeneration step: the branch decision and the derived diagrams."""
+    _entry_check(D)
     decision, pairs = _step(TraceNode(D, "Root"), pushforward)
     return decision, [d for d, _ in pairs]
 

@@ -341,7 +341,8 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
     expansion is exactly 1 * x wins.  Returns None when the exhaustive scan
     finds nothing; raises SearchBudgetExceeded past the cap (argument, else
     the SRK_SEARCH_BUDGET environment variable, else 100000 diagrams) and
-    ValidationError when SRK_SEARCH_BUDGET is not an integer.
+    ValidationError when SRK_SEARCH_BUDGET is not an integer or the budget
+    is negative.
     The admissible diagrams of (k, n) are kept for the life of the process.
     """
     kind, idx = position
@@ -358,6 +359,8 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
             raise ValidationError(
                 f"SRK_SEARCH_BUDGET must be an integer, got {raw!r}"
             ) from None
+    if budget < 0:
+        raise ValidationError(f"witness search budget must be nonnegative, got {budget}")
     cx = canonical_index(x)
     if needs_rewrite(x) and kind == "b" and idx == len(x.b):
         # the boundary condition is really the primed bracket of the rewrite

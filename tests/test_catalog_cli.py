@@ -194,6 +194,17 @@ def test_cli_witness_budget_exit_code():
     )
     assert bad_env.returncode == 2 and "Traceback" not in bad_env.stderr
     assert bad_env.stderr.startswith("error: SRK_SEARCH_BUDGET must be an integer")
+    negative_arg = run_cli(
+        "witness", "--k", "2", "--n", "9", "--a", "2", "--b", "3",
+        "--position", "b:1", "--budget", "-1",
+    )
+    negative_env = run_cli(
+        "witness", "--k", "2", "--n", "9", "--a", "2", "--b", "3",
+        "--position", "b:1", env={"SRK_SEARCH_BUDGET": "-5"},
+    )
+    for negative in (negative_arg, negative_env):
+        assert negative.returncode == 2 and "Traceback" not in negative.stderr
+        assert negative.stderr.startswith("error: witness search budget must be nonnegative")
 
 
 def test_cli_engine_error_exit_code_for_witness():

@@ -61,8 +61,18 @@ def test_derive_a_doubles_without_prime_in_odd_ambient():
     assert out == [D(13, [3, 5], []), D(13, [3, 5], [])]
 
 
-def test_derive_a_discards_on_failed_a3():
+def test_derive_a_discards_on_failed_a3(monkeypatch):
+    notes = []
+    grow = deg._grow
+
+    def recording(node, diagram, rule, note=None):
+        if rule == "Discard":
+            notes.append(note)
+        return grow(node, diagram, rule, note)
+
+    monkeypatch.setattr(deg, "_grow", recording)
     assert derive_and_fix_a(D(7, [1, 3], [(5, 1)])) == []
+    assert notes == ["(A3) fails: x_1 = 1 < 2"]
 
 
 def test_derive_b_examples():
@@ -123,10 +133,20 @@ def test_expand_terminal_diagram_is_identity():
 
 
 def test_expand_rejects_inadmissible():
-    with pytest.raises(NotAdmissible):
-        expand(D(6, [2], [(5, 1)]))  # fails A2
-    with pytest.raises(NotAdmissible):
-        expand(D(6, [2], [(6, 1), (5, 2)]))  # quadric does not fit the ambient
+    inadmissible = [
+        D(6, [2], [(5, 1)]),  # fails A2
+        D(6, [2], [(6, 1), (5, 2)]),  # quadric does not fit the ambient
+        D(6, [1, 4]),  # terminal in both modes, bracket past the isotropic bound
+    ]
+    for bad in inadmissible:
+        with pytest.raises(NotAdmissible):
+            expand(bad)
+        # every public entry checks its root before asking for kappa, so an
+        # inadmissible terminal diagram is NotAdmissible, not AlreadyTerminal
+        for entry in (step, derive_and_fix_a, derive_and_fix_b):
+            for push in (False, True):
+                with pytest.raises(NotAdmissible):
+                    entry(bad, push)
 
 
 def test_expand_trace_structure():
@@ -152,6 +172,30 @@ def test_expand_trace_structure():
     assert set(js) == {"rule", "diagram", "note", "children"}
     assert "κ=1" in root.note and "Both" in root.note
     assert "FixA1Split" in root.render()
+
+
+def _discard_notes(node):
+    if node.rule == "Discard":
+        yield node.note
+    for child in node.children:
+        yield from _discard_notes(child)
+
+
+# for each way a derivation can lose a branch, the first diagram in canonical
+# order (OG(3,6), OG(3,8), OG(3,8), OG(4,9), OG(5,10)) whose step records it
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ("00]000}0}", "two braces would collide"),
+        ("22000}0}0}0", "structural collision while splitting (A1)"),
+        ("22]0000}0}0", "structural collision while repairing (A2)"),
+        ("22]2]000}00}0", "(A3) fails: "),
+        ("344]000}0}0}00}", "inadmissible after repairs: "),
+    ],
+)
+def test_each_discard_reason_is_reached(text, reason):
+    _, root = expand(parse_diagram(text), trace=True)
+    assert any(note.startswith(reason) for note in _discard_notes(root))
 
 
 def test_pushforward_examples():

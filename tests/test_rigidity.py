@@ -128,6 +128,14 @@ def test_witness_budget_from_environment(monkeypatch):
     monkeypatch.setenv("SRK_SEARCH_BUDGET", "lots")
     with pytest.raises(ValidationError, match="SRK_SEARCH_BUDGET"):
         find_nonrigid_witness(x, ("b", 1))
+    monkeypatch.setenv("SRK_SEARCH_BUDGET", "-5")
+    with pytest.raises(ValidationError, match="nonnegative, got -5"):
+        find_nonrigid_witness(x, ("b", 1))
+    with pytest.raises(ValidationError, match="nonnegative, got -1"):
+        find_nonrigid_witness(x, ("b", 1), budget=-1)
+    # a budget of 0 is legal: the scan stops before the first diagram
+    with pytest.raises(SearchBudgetExceeded, match="passed 0 diagrams"):
+        find_nonrigid_witness(x, ("b", 1), budget=0)
 
 
 def test_witness_position_validation():
