@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, fields
 from itertools import combinations
 
-from .errors import NoIsotropicRoom, OutOfBounds, SchemaError
+from .errors import CatalogIOError, NoIsotropicRoom, OutOfBounds, SchemaError
 from .grassmannian import (
     GrIndex,
     gr_dimension,
@@ -163,12 +163,20 @@ def build_record(x) -> CatalogRecord:
     raise TypeError(f"cannot build a record from {type(x).__name__}")
 
 
+def _io_error(verb: str, path, exc: OSError) -> CatalogIOError:
+    return CatalogIOError(f"cannot {verb} catalog {path}: {exc.strerror or exc}")
+
+
 def write_catalog(records, path) -> None:
-    """Write records as JSON Lines, sorted canonically; byte-deterministic."""
+    """Write records as JSON Lines, sorted canonically; byte-deterministic.
+    Raises CatalogIOError when the file cannot be written."""
     ordered = sorted(records, key=lambda r: r.sort_key)
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in ordered:
-            fh.write(rec.to_json_line() + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for rec in ordered:
+                fh.write(rec.to_json_line() + "\n")
+    except OSError as exc:
+        raise _io_error("write", path, exc) from exc
 
 
 def _record_from_dict(obj: dict, line_no: int) -> CatalogRecord:
@@ -185,17 +193,21 @@ def _record_from_dict(obj: dict, line_no: int) -> CatalogRecord:
 
 
 def read_catalog(path):
-    """Read a JSONL catalog back; inverse of ``write_catalog``."""
+    """Read a JSONL catalog back; inverse of ``write_catalog``.  Raises
+    CatalogIOError when the file cannot be read, SchemaError on a bad line."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(line_no, exc.msg) from None
-            if not isinstance(obj, dict):
-                raise SchemaError(line_no, "expected a JSON object")
-            out.append(_record_from_dict(obj, line_no))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(line_no, exc.msg) from None
+                if not isinstance(obj, dict):
+                    raise SchemaError(line_no, "expected a JSON object")
+                out.append(_record_from_dict(obj, line_no))
+    except OSError as exc:
+        raise _io_error("read", path, exc) from exc
     return out

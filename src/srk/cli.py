@@ -1,13 +1,19 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 validation error, 3 search budget exceeded,
-4 any other engine error (an index or diagram the engine cannot handle).
+4 any other error: an index or diagram the engine cannot handle, or a
+catalog file that cannot be opened, read or written.
+
+``main(argv)`` may be called repeatedly in one process: the argument parser
+is built on the first call and reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 
 from .catalog import build_record, enumerate_gr, enumerate_og, write_catalog
@@ -29,6 +35,7 @@ def _int_list(text):
         raise ValidationError(f"expected a comma-separated integer list, got {text!r}")
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="srk",
@@ -189,7 +196,7 @@ def _cmd_enumerate(args):
 
 def _cmd_witness(args):
     kind, sep, raw = args.position.partition(":")
-    if sep != ":" or kind not in ("a", "b") or not raw.lstrip("-").isdigit():
+    if sep != ":" or kind not in ("a", "b") or not re.fullmatch(r"-?[0-9]+", raw):
         raise ValidationError(f"--position must look like a:2 or b:1, got {args.position!r}")
     x = _og_index(args)
     D = find_nonrigid_witness(x, (kind, int(raw)), budget=args.budget)

@@ -370,14 +370,10 @@ def _entry_check(D: QuadricDiagram):
         )
     if D.brackets and 2 * D.bracket_dims[-1] > D.m:
         raise NotAdmissible(
-            f"bracket {D.bracket_dims[-1]} exceeds the isotropic bound in ambient {D.m}",
-            report=rep,
+            f"bracket {D.bracket_dims[-1]} exceeds the isotropic bound in ambient {D.m}"
         )
     if any(d + r > D.m for d, r in D.quadrics):
-        raise NotAdmissible(
-            f"a quadric of {print_diagram(D)} does not fit in ambient {D.m}",
-            report=rep,
-        )
+        raise NotAdmissible(f"a quadric of {print_diagram(D)} does not fit in ambient {D.m}")
 
 
 def _expand_root(D: QuadricDiagram, push: bool, trace: bool, what: str):

@@ -93,7 +93,13 @@ class AlreadyTerminal(SrkError):
 
 
 class NotAdmissible(ValidationError):
-    """Expansion was asked for an inadmissible diagram; carries the report."""
+    """A degeneration entry was given an inadmissible diagram.
+
+    ``report`` is the ``check_conditions`` report when one of the conditions
+    it checks failed, so ``report.failed()`` names them.  It is None when the
+    diagram passes those conditions but does not fit its ambient: a bracket
+    past the isotropic bound, or a quadric with d + r above the ambient.
+    """
 
     def __init__(self, msg, report=None):
         self.report = report
@@ -112,6 +118,11 @@ class EngineInvariantError(SrkError):
 
 class SearchBudgetExceeded(SrkError):
     """Witness enumeration hit its configured cap before finishing."""
+
+
+class CatalogIOError(SrkError):
+    """A catalog file could not be opened, read or written; the message names
+    the path and the operating system's reason."""
 
 
 class SchemaError(ValidationError):

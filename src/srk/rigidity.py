@@ -293,11 +293,16 @@ class _DiagramMemo:
     pay for every diagram of the space.  The fill is locked because scans may
     share a memo across threads and a generator cannot be advanced from two
     threads at once.
+
+    Each diagram has one class slot, filled by ``class_at`` the first time a
+    scan needs that diagram's class.  A failed expansion leaves its slot
+    empty, so the next scan expands the diagram again and raises afresh.
     """
 
     def __init__(self, k: int, n: int):
         self._k, self._n = k, n
         self._items: list = []
+        self._classes: list = []
         self._source = enumerate_diagrams(k, n, admissible_only=True)
         self._exhausted = False
         self._lock = threading.Lock()
@@ -307,7 +312,7 @@ class _DiagramMemo:
         with self._lock:
             while len(self._items) <= i and not self._exhausted:
                 try:
-                    self._items.append(next(self._source))
+                    D = next(self._source)
                 except StopIteration:
                     self._exhausted = True
                 except BaseException:
@@ -319,6 +324,10 @@ class _DiagramMemo:
                         None,
                     )
                     raise
+                else:
+                    # the slot first: a reader that sees item i sees its slot
+                    self._classes.append(None)
+                    self._items.append(D)
             return len(self._items) > i
 
     def __iter__(self):
@@ -326,6 +335,15 @@ class _DiagramMemo:
         while i < len(self._items) or self._fill_to(i):
             yield self._items[i]
             i += 1
+
+    def class_at(self, i: int) -> ClassSum:
+        """The class of item i, expanded through ``expand`` (and so checked
+        at entry) on first use and kept from then on.  Unlocked: two threads
+        may both expand one diagram, and both store the same class."""
+        cls = self._classes[i]
+        if cls is None:
+            cls = self._classes[i] = expand(self._items[i])
+        return cls
 
 
 @lru_cache(maxsize=None)
@@ -343,7 +361,8 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
     the SRK_SEARCH_BUDGET environment variable, else 100000 diagrams) and
     ValidationError when SRK_SEARCH_BUDGET is not an integer or the budget
     is negative.
-    The admissible diagrams of (k, n) are kept for the life of the process.
+    The admissible diagrams of (k, n), and each class a scan has expanded,
+    are kept for the life of the process.
     """
     kind, idx = position
     if kind not in ("a", "b"):
@@ -366,13 +385,12 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
         # the boundary condition is really the primed bracket of the rewrite
         kind, idx = "a", cx.s
     target = ClassSum.single(cx)
-    examined = 0
-    for D in _admissible_diagrams(x.k, x.n):
-        examined += 1
-        if examined > budget:
+    memo = _admissible_diagrams(x.k, x.n)
+    for i, D in enumerate(memo):
+        if i >= budget:
             raise SearchBudgetExceeded(f"witness search passed {budget} diagrams")
         if not _omits_assertion(D, cx, kind, idx):
             continue
-        if expand(D) == target:
+        if memo.class_at(i) == target:
             return D
     return None

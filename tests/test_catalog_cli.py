@@ -16,7 +16,7 @@ from srk import (
     validate_og,
     write_catalog,
 )
-from srk.errors import SchemaError
+from srk.errors import CatalogIOError, SchemaError
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -155,6 +155,93 @@ def test_cli_expand_ambient_mismatch_is_validation_error():
 def test_cli_pushforward():
     out = run_cli("pushforward", "--k", "2", "--n", "6", "--a", "-", "--b", "0,1")
     assert out.returncode == 0 and "4σ_{3,5}" in out.stdout
+
+
+def test_read_catalog_missing_path_is_catalog_io_error(tmp_path):
+    missing = tmp_path / "absent.jsonl"
+    with pytest.raises(CatalogIOError, match="absent.jsonl: No such file or directory"):
+        read_catalog(missing)
+
+
+def test_cli_enumerate_unwritable_path_exit_code(tmp_path):
+    target = tmp_path / "no-such-dir" / "x.jsonl"
+    out = run_cli("enumerate", "--space", "og", "--k", "2", "--n", "7", "--out", str(target))
+    assert out.returncode == 4 and out.stdout == ""
+    assert out.stderr == f"error: cannot write catalog {target}: No such file or directory\n"
+
+
+# The CLI sequence below runs in one process, counting the top-level parsers
+# built, and again one command per process; both must print the same bytes.
+_IN_PROCESS = r"""
+import argparse, contextlib, io, json, sys
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counting(self, *args, **kwargs):
+    if kwargs.get("prog") == "srk":
+        built.append(kwargs["prog"])
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting
+import srk.cli
+
+after_import = len(built)
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = srk.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"after_import": after_import, "built": len(built), "runs": runs}))
+"""
+
+_SEQUENCE = [
+    ["classify", "--space", "og", "--k", "2", "--n", "6", "--a", "1", "--b", "1", "--json"],
+    ["dim", "--space", "og", "--k", "2", "--n", "6", "--a", "1", "--b", "1"],
+    ["parse", "m=6 k=2 a=2 q=5:0"],
+    ["pushforward", "--k", "2", "--n", "6", "--a", "-", "--b", "0,1"],
+    ["classify", "--space", "og", "--k", "2"],  # argparse error: SystemExit(2)
+    ["classify", "--space", "og", "--k", "2", "--n", "7", "--a", "2", "--b", "1"],
+    ["classify", "--space", "og", "--k", "2", "--n", "6", "--a", "3", "--b", "1",
+     "--prime", "--json"],
+    ["classify", "--space", "og", "--k", "2", "--n", "6", "--a", "3", "--b", "1", "--json"],
+]
+
+
+def test_cli_main_reuses_one_parser_per_process():
+    env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IN_PROCESS, json.dumps(_SEQUENCE)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["after_import"] == 0
+    assert report["built"] == 1
+    codes = [code for code, _, _ in report["runs"]]
+    assert codes == [0, 0, 0, 0, 2, 2, 0, 0]
+    for argv, (code, stdout, stderr) in zip(_SEQUENCE, report["runs"]):
+        alone = run_cli(*argv)
+        assert (alone.returncode, alone.stdout, alone.stderr) == (code, stdout, stderr), argv
+    primed, unprimed = (json.loads(stdout) for _, stdout, _ in report["runs"][-2:])
+    assert primed["prime"] is True and unprimed["prime"] is False
+
+
+def test_cli_witness_rejects_malformed_position():
+    # "--1" and "²" pass str.isdigit() after stripping a sign, yet int()
+    # rejects both; each must be a validation error, not a traceback
+    for raw in ("a:--1", "a:²"):
+        out = run_cli(
+            "witness", "--k", "2", "--n", "9", "--a", "2", "--b", "3", "--position", raw,
+        )
+        assert out.returncode == 2 and out.stdout == "" and "Traceback" not in out.stderr
+        assert out.stderr == f"error: --position must look like a:2 or b:1, got {raw!r}\n"
 
 
 def test_cli_dim_and_parse():

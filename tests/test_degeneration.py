@@ -147,6 +147,14 @@ def test_expand_rejects_inadmissible():
             for push in (False, True):
                 with pytest.raises(NotAdmissible):
                     entry(bad, push)
+    # a report is attached only when a checked condition failed; a bound
+    # refusal passes every condition, so its report would read ok
+    with pytest.raises(NotAdmissible, match="isotropic bound") as err:
+        expand(D(6, [1, 4]))
+    assert err.value.report is None
+    with pytest.raises(NotAdmissible, match="fails conditions") as err:
+        expand(D(6, [], [(6, 0), (4, 0), (3, 0)]))  # fails (3) only
+    assert err.value.report is not None and err.value.report.failed() == ["3"]
 
 
 def test_expand_trace_structure():

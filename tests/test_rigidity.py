@@ -255,3 +255,96 @@ def test_witness_scan_shared_by_two_threads(monkeypatch):
     want = [outcome for _, outcome in answers]
     assert results == [want, want]
     assert memo._items == list(enumerate_diagrams(2, 9))[: len(memo._items)]
+
+
+# --- each diagram's class is expanded once per process -----------------------
+
+
+def _counting_expand(monkeypatch, k, n):
+    """Give (k, n) a fresh memo and record every diagram the scan expands."""
+    memo = rigidity._DiagramMemo(k, n)
+    monkeypatch.setattr(rigidity, "_admissible_diagrams", lambda k_, n_: memo)
+    seen = []
+    real = rigidity.expand
+
+    def counting(D):
+        seen.append(D)
+        return real(D)
+
+    monkeypatch.setattr(rigidity, "expand", counting)
+    return seen
+
+
+def test_class_slots_shared_by_four_threads(monkeypatch):
+    # four threads sweep one fresh memo: two of them may both expand a
+    # diagram, but every stored class must be that diagram's own
+    answers = _reference_answers(2, 9)
+    memo = rigidity._DiagramMemo(2, 9)
+    monkeypatch.setattr(rigidity, "_admissible_diagrams", lambda k, n: memo)
+    start = threading.Barrier(4, timeout=30)
+
+    def sweep():
+        start.wait()
+        return [_outcome(find_nonrigid_witness, x, pos) for (x, pos), _ in answers]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(sweep) for _ in range(4)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    want = [outcome for _, outcome in answers]
+    assert results == [want] * 4
+    assert len(memo._classes) == len(memo._items)
+    stored = [(D, c) for D, c in zip(memo._items, memo._classes) if c is not None]
+    assert stored and all(c == expand(D) for D, c in stored)
+
+
+def test_repeated_witness_query_expands_nothing(monkeypatch):
+    seen = _counting_expand(monkeypatch, 2, 9)
+    x, pos = validate_og(2, 9, [2], [3]), ("b", 1)
+    witness = find_nonrigid_witness(x, pos)
+    assert witness is not None and seen
+    seen.clear()
+    assert find_nonrigid_witness(x, pos) == witness
+    assert seen == []
+
+
+def test_second_query_expands_only_diagrams_the_first_did_not(monkeypatch):
+    seen = _counting_expand(monkeypatch, 2, 9)
+    first = (validate_og(2, 9, [], [1, 3]), ("b", 1))
+    second = (validate_og(2, 9, [4], [1]), ("b", 1))
+    assert find_nonrigid_witness(*first) is not None
+    reached = set(seen)
+    seen.clear()
+    witness = find_nonrigid_witness(*second)
+    count, want = _reference_scan(*second)
+    assert witness == want
+    x, (kind, idx) = second
+    needed = [
+        D for D in list(enumerate_diagrams(2, 9))[:count]
+        if rigidity._omits_assertion(D, canonical_index(x), kind, idx)
+    ]
+    assert seen == [D for D in needed if D not in reached]
+    assert seen and len(seen) < len(needed)
+
+
+def test_failing_witness_query_expands_its_diagram_each_time(monkeypatch):
+    # failures are not stored: the diagram whose expansion left the
+    # admissible family is expanded again and raises afresh
+    seen = _counting_expand(monkeypatch, 4, 11)
+    x, pos = validate_og(4, 11, [], [0, 1, 2, 4]), ("b", 4)
+    errors, expanded = [], []
+    for _ in range(2):
+        with pytest.raises(SrkError) as err:
+            find_nonrigid_witness(x, pos)
+        errors.append((type(err.value), str(err.value)))
+        expanded.append(list(seen))
+        seen.clear()
+    assert errors[0] == errors[1]
+    assert errors[0][1].startswith("244000}0}0}0}00 fails")
+    first, again = expanded
+    assert len(first) > 1 and len(set(first)) == len(first)
+    assert again == first[-1:]
