@@ -5,7 +5,9 @@ Exit codes: 0 success, 2 validation error, 3 search budget exceeded,
 catalog file that cannot be opened, read or written.
 
 ``main(argv)`` may be called repeatedly in one process: the argument parser
-is built on the first call and reused by every later one.
+is built on the first call and reused by every later one.  It returns the
+exit code and raises no ``SystemExit``, not even for a malformed command
+line or ``--help``.
 """
 
 from __future__ import annotations
@@ -232,7 +234,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits after printing usage: 2 for an error, 0 for --help
+        return exc.code
     try:
         return _COMMANDS[args.command](args)
     except SearchBudgetExceeded as exc:

@@ -22,10 +22,12 @@ Admissibility conditions checked here, by label:
   (A3)  x_j >= k - j + 1 - floor((d_j - r_j)/2), where x_j = #{i : n_i <= r_j}.
 
 ``enumerate_diagrams`` prunes each quadric chain while generating it: a
-corank that breaks flag existence, or (admissible mode) a rule among
-(A1)-(A3) that involves only that quadric and the brackets, is skipped with
-its whole subtree.  Every surviving diagram is still constructed and fully
-checked, so ``check_conditions`` alone decides admissibility.
+corank that breaks flag existence, or (admissible mode) (3) or one of
+(A1)-(A3) given the chain placed so far, is skipped with its whole subtree.
+In admissible mode every diagram it yields is therefore admissible by
+construction and is not checked again there; the tests assert
+``check_conditions`` on every one, and ``expand`` checks each diagram it is
+given at entry.
 
 Diagrams are immutable; every function here is pure.
 """
@@ -57,39 +59,62 @@ class Quadric(NamedTuple):
 
 @dataclass(frozen=True)
 class QuadricDiagram:
-    """Structurally valid diagram; admissibility is a separate check."""
+    """Structurally valid diagram; admissibility is a separate check.
+
+    Its shape (``bracket_dims``, ``ds``, ``rs``, ``sums``, ``s``, ``q``,
+    ``k``) is computed once, at construction; equality, hashing and ``repr``
+    see only (m, brackets, quadrics).
+    """
 
     m: int
     brackets: tuple  # of Bracket, dims strictly increasing
     quadrics: tuple  # of Quadric, d strictly decreasing, r nondecreasing
+    bracket_dims: tuple = field(init=False, repr=False, compare=False)
+    ds: tuple = field(init=False, repr=False, compare=False)
+    rs: tuple = field(init=False, repr=False, compare=False)
+    sums: tuple = field(init=False, repr=False, compare=False)
+    s: int = field(init=False, repr=False, compare=False)
+    q: int = field(init=False, repr=False, compare=False)
+    k: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "brackets", tuple(Bracket(*b) for b in self.brackets)
-        )
-        object.__setattr__(
-            self, "quadrics", tuple(Quadric(*q) for q in self.quadrics)
-        )
+        brackets, quadrics = self.brackets, self.quadrics
+        if not all(isinstance(b, Bracket) for b in brackets):
+            brackets = [Bracket(*b) for b in brackets]
+        if not all(isinstance(q, Quadric) for q in quadrics):
+            quadrics = [Quadric(*q) for q in quadrics]
+        brackets, quadrics = tuple(brackets), tuple(quadrics)
+        dims = tuple(b.dim for b in brackets)
+        ds = tuple(q.d for q in quadrics)
+        rs = tuple(q.r for q in quadrics)
+        init = object.__setattr__  # the dataclass is frozen
+        init(self, "brackets", brackets)
+        init(self, "quadrics", quadrics)
+        init(self, "bracket_dims", dims)
+        init(self, "ds", ds)
+        init(self, "rs", rs)
+        init(self, "sums", tuple(d + r for d, r in quadrics))
+        init(self, "s", len(brackets))
+        init(self, "q", len(quadrics))
+        init(self, "k", len(brackets) + len(quadrics))
         if self.m < 1:
             raise InvalidDiagram(f"need m >= 1, got {self.m}")
-        if not self.brackets and not self.quadrics:
+        if not brackets and not quadrics:
             raise InvalidDiagram("diagram needs at least one bracket or brace")
-        dims = self.bracket_dims
         if any(x >= y for x, y in zip(dims, dims[1:])):
             raise InvalidDiagram(f"bracket dims must strictly increase: {dims}")
         if dims and (dims[0] < 1 or dims[-1] > self.m):
             raise InvalidDiagram(f"bracket dims must lie in 1..{self.m}: {dims}")
-        for b in self.brackets:
+        for b in brackets:
             if b.prime and 2 * b.dim != self.m:
                 raise InvalidDiagram(
                     f"prime marker only allowed at dimension {self.m}/2, got {b.dim}"
                 )
-        ds, rs = self.ds, self.rs
         if any(x <= y for x, y in zip(ds, ds[1:])):
             raise InvalidDiagram(f"quadric dims must strictly decrease: {ds}")
         if any(x > y for x, y in zip(rs, rs[1:])):
             raise InvalidDiagram(f"coranks must be nondecreasing: {rs}")
-        for d, r in self.quadrics:
+        for d, r in quadrics:
             if not (1 <= d <= self.m):
                 raise InvalidDiagram(f"quadric dim {d} outside 1..{self.m}")
             if not (0 <= r <= d):
@@ -102,39 +127,11 @@ class QuadricDiagram:
         # most r + (d - r)/2, i.e. floor((d + r)/2)
         if dims:
             top = dims[-1]
-            for d, r in self.quadrics:
+            for d, r in quadrics:
                 if top > (d + r) // 2:
                     raise InvalidDiagram(
                         f"bracket {top} cannot lie isotropically inside Q_{d}^{r}"
                     )
-
-    @property
-    def s(self) -> int:
-        return len(self.brackets)
-
-    @property
-    def q(self) -> int:
-        return len(self.quadrics)
-
-    @property
-    def k(self) -> int:
-        return self.s + self.q
-
-    @property
-    def bracket_dims(self) -> tuple:
-        return tuple(b.dim for b in self.brackets)
-
-    @property
-    def ds(self) -> tuple:
-        return tuple(q.d for q in self.quadrics)
-
-    @property
-    def rs(self) -> tuple:
-        return tuple(q.r for q in self.quadrics)
-
-    @property
-    def sums(self) -> tuple:
-        return tuple(q.d + q.r for q in self.quadrics)
 
     @property
     def sort_key(self):
@@ -410,17 +407,25 @@ def _quadric_profiles(q, m, dims, k, admissible_only):
     k-part diagram: d strictly decreasing >= the largest bracket, r
     nondecreasing, r_j <= d_j and d_j + r_j <= m.  Deterministic order.
 
-    While the chain is filled, a corank is skipped as soon as its quadric
-    breaks a rule that involves only itself and the brackets, so no chain
-    is built that must fail:
+    While the chain is filled, a corank is skipped as soon as the chain so
+    far breaks a rule, so no chain is built that must fail:
 
       flag existence  r_j >= 2 n_s - d_j (the constructor's rule, both modes);
       (A1)            r_q <= d_q - 3 on the innermost quadric;
       (A2)            r_j + 1 is not a bracket dimension;
-      (A3)            #{i : n_i <= r_j} >= k - j + 1 - floor((d_j - r_j)/2).
+      (A3)            #{i : n_i <= r_j} >= k - j + 1 - floor((d_j - r_j)/2);
+      (3)             the second clause for the chain so far (below), or
+                      else the first: every corank equals r_1 and r_1 is a
+                      bracket dimension.
 
-    (A1)-(A3) prune only with ``admissible_only``.  The skipped coranks
-    would all fail later, so the survivors come in the same order as in an
+    The second clause of (3) is decided corank by corank: r_j - r_i >=
+    j - i - 1 for every earlier i; at the first equal pair above r_1,
+    r_{t-1} = r_t > r_1, the braces are adjacent, d_{t-1} - d_t = 1; after
+    that pair each step keeps r_j - r_{j-1} = d_{j-1} - d_j.
+
+    (A1)-(A3) and (3) prune only with ``admissible_only``, and then every
+    chain yielded passes (1)-(3) and (A1)-(A3).  The skipped coranks would
+    all fail later, so the survivors come in the same order as in an
     unpruned loop.
     """
     if q == 0:
@@ -430,7 +435,9 @@ def _quadric_profiles(q, m, dims, k, admissible_only):
     for dset in combinations(range(max(top, 1), m + 1), q):
         ds = tuple(reversed(dset))  # d_1 > ... > d_q
 
-        def fill(j, prev_r, acc):
+        def fill(j, prev_r, acc, second, tail):
+            # second: the chain so far passes the second clause of (3);
+            # tail: it holds an equal pair above r_1
             if j == q:
                 yield tuple(acc)
                 return
@@ -439,17 +446,27 @@ def _quadric_profiles(q, m, dims, k, admissible_only):
             if admissible_only and j == q - 1:
                 cap = min(cap, d - 3)  # (A1)
             for r in range(max(prev_r, 2 * top - d), cap + 1):
-                # (A2), then (A3) for the quadric numbered j + 1
-                if admissible_only and (
-                    r + 1 in dims
-                    or sum(1 for v in dims if v <= r) < k - j - (d - r) // 2
-                ):
-                    continue
+                ok, pair = second, tail
+                if admissible_only:
+                    # (A2), then (A3) for the quadric numbered j + 1
+                    if r + 1 in dims or (
+                        sum(1 for v in dims if v <= r) < k - j - (d - r) // 2
+                    ):
+                        continue
+                    if j and ok:
+                        if any(r - acc[i] < j - i - 1 for i in range(j - 1)):
+                            ok = False
+                        elif tail:
+                            ok = r - prev_r == ds[j - 1] - d
+                        elif r == prev_r > acc[0]:
+                            ok, pair = ds[j - 1] - d == 1, True
+                    if not ok and not (r == acc[0] and r in dims):
+                        continue
                 acc.append(r)
-                yield from fill(j + 1, r, acc)
+                yield from fill(j + 1, r, acc, ok, pair)
                 acc.pop()
 
-        for rs in fill(0, 0, []):
+        for rs in fill(0, 0, [], True, False):
             yield tuple(Quadric(d, r) for d, r in zip(ds, rs))
 
 
@@ -460,8 +477,9 @@ def enumerate_diagrams(k: int, m: int, admissible_only: bool = True):
     bracket sits exactly at m/2), quadrics over chains with d_j + r_j <= m.
     With ``admissible_only`` the conditions (1)-(3), (A1)-(A3) must all pass.
     ``_quadric_profiles`` never builds a chain that breaks flag existence or,
-    with ``admissible_only``, (A1)-(A3); every survivor is still constructed
-    and, with ``admissible_only``, fully checked, so the check decides.
+    with ``admissible_only``, (3) or (A1)-(A3), so every diagram yielded is
+    admissible by construction and none is checked here; the tests assert
+    ``check_conditions`` on every one.
     Raises ``OutOfBounds`` when k < 1 or m < 1.
     """
     if k < 1 or m < 1:
@@ -477,7 +495,4 @@ def enumerate_diagrams(k: int, m: int, admissible_only: bool = True):
                 )
             for brackets in variants:
                 for quadrics in _quadric_profiles(q, m, dims, k, admissible_only):
-                    D = QuadricDiagram(m, brackets, quadrics)
-                    if admissible_only and not check_conditions(D).ok:
-                        continue
-                    yield D
+                    yield QuadricDiagram(m, brackets, quadrics)

@@ -28,8 +28,13 @@ from itertools import islice
 
 from .classsum import ClassSum
 from .degeneration import expand
-from .diagrams import QuadricDiagram, enumerate_diagrams
-from .errors import PositionOutOfRange, SearchBudgetExceeded, ValidationError
+from .diagrams import QuadricDiagram, enumerate_diagrams, print_diagram
+from .errors import (
+    EngineInvariantError,
+    PositionOutOfRange,
+    SearchBudgetExceeded,
+    ValidationError,
+)
 from .grassmannian import NOT_ESSENTIAL, Verdict
 from .orthogonal import OgIndex, canonical_index, needs_rewrite, og_essential
 
@@ -337,12 +342,21 @@ class _DiagramMemo:
             i += 1
 
     def class_at(self, i: int) -> ClassSum:
-        """The class of item i, expanded through ``expand`` (and so checked
-        at entry) on first use and kept from then on.  Unlocked: two threads
-        may both expand one diagram, and both store the same class."""
+        """The class of item i, expanded through ``expand`` on first use and
+        kept from then on.  ``expand``'s entry check is the one admissibility
+        check an item gets: the enumerator yields admissible diagrams by
+        construction and checks none.  An ``EngineInvariantError`` is raised
+        again with the item named.  Unlocked: two threads may both expand one
+        diagram, and both store the same class."""
         cls = self._classes[i]
         if cls is None:
-            cls = self._classes[i] = expand(self._items[i])
+            D = self._items[i]
+            try:
+                cls = self._classes[i] = expand(D)
+            except EngineInvariantError as exc:
+                raise EngineInvariantError(
+                    f"{exc} (while expanding scan candidate {print_diagram(D)})"
+                ) from exc
         return cls
 
 

@@ -16,6 +16,7 @@ from srk import (
     validate_og,
     write_catalog,
 )
+from srk.cli import main as cli_main
 from srk.errors import CatalogIOError, SchemaError
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -233,6 +234,16 @@ def test_cli_main_reuses_one_parser_per_process():
     assert primed["prime"] is True and unprimed["prime"] is False
 
 
+def test_cli_main_returns_argparse_exit_codes(capsys):
+    # an in-process caller gets argparse's status back instead of SystemExit
+    assert cli_main(["classify", "--space", "og", "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: srk classify")
+    assert "error: the following arguments are required: --n, --a" in err
+    assert cli_main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: srk")
+
+
 def test_cli_witness_rejects_malformed_position():
     # "--1" and "²" pass str.isdigit() after stripping a sign, yet int()
     # rejects both; each must be a validation error, not a traceback
@@ -302,6 +313,7 @@ def test_cli_engine_error_exit_code_for_witness():
     )
     assert out.returncode == 4 and out.stdout == ""
     assert out.stderr.startswith("error: 244000}0}0}0}00 fails")
+    assert out.stderr.endswith("(while expanding scan candidate 344000}0}0}0}00)\n")
     assert "Traceback" not in out.stderr
 
 

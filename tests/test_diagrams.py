@@ -15,7 +15,6 @@ from srk import (
     parse_diagram,
     print_diagram,
 )
-from srk import diagrams
 from srk.errors import (
     DiagramSyntaxError,
     InconsistentDigits,
@@ -73,6 +72,11 @@ def test_condition3_first_clause_warns_when_deciding():
     rep = check_conditions(D(9, [1], [(7, 1), (6, 1), (5, 1)]))
     assert rep.conditions["3"][0]
     assert "COND3-FIRST-CLAUSE" in rep.warnings
+    # the enumerator's (3) pruning keeps a chain the first clause alone saves
+    only_first = parse_diagram("1]000}0}00}0")
+    assert only_first in enumerate_diagrams(4, 8)
+    rep = check_conditions(only_first)
+    assert rep.ok and "COND3-FIRST-CLAUSE" in rep.warnings
 
 
 def test_digits_examples():
@@ -139,6 +143,8 @@ def test_pool_is_reasonably_large():
 def test_print_parse_roundtrip(d):
     assert parse_diagram(print_diagram(d)) == d
     assert parse_diagram(print_diagram(d, form="verbose")) == d
+    plain = QuadricDiagram(d.m, tuple(map(tuple, d.brackets)), tuple(map(tuple, d.quadrics)))
+    assert plain == d and hash(plain) == hash(d) and repr(plain) == repr(d)
 
 
 @given(st.sampled_from(_POOL))
@@ -205,23 +211,32 @@ def _unpruned_chains(q, m, min_d):
             yield tuple(Quadric(d, r) for d, r in zip(ds, rs))
 
 
+def _assert_shape(d):
+    """The shape stored at construction equals the shape of the parts."""
+    assert d.bracket_dims == tuple(b.dim for b in d.brackets)
+    assert d.ds == tuple(q.d for q in d.quadrics)
+    assert d.rs == tuple(q.r for q in d.quadrics)
+    assert d.sums == tuple(q.d + q.r for q in d.quadrics)
+    assert (d.s, d.q, d.k) == (
+        len(d.brackets), len(d.quadrics), len(d.brackets) + len(d.quadrics)
+    )
+
+
 @pytest.mark.parametrize("admissible_only", [True, False])
-def test_pruned_enumeration_matches_unpruned_reference(admissible_only, monkeypatch):
-    """Same diagrams in the same order as the reference, and the pruning is
-    complete: a chain that reaches the full check can fail only (3)."""
-    failed = set()
-
-    def recording_check(d):
-        rep = check_conditions(d)
-        failed.update(rep.failed())
-        return rep
-
-    monkeypatch.setattr(diagrams, "check_conditions", recording_check)
+def test_pruned_enumeration_matches_unpruned_reference(admissible_only):
+    """Same diagrams in the same order as the reference.  The enumerator runs
+    no check of its own, so in admissible mode every diagram it yields must
+    pass the full check; and every diagram's stored shape matches its parts."""
     spaces = [(k, m) for k in range(1, 4) for m in range(1, 13)] + [(4, 9), (4, 10)]
+    if admissible_only:
+        spaces.append((4, 11))  # the space of the failing witness_sweep queries
     for k, m in spaces:
         got = list(enumerate_diagrams(k, m, admissible_only))
         assert got == list(_unpruned_diagrams(k, m, admissible_only)), (k, m)
-    assert failed <= {"3"}
+        for d in got:
+            _assert_shape(d)
+            if admissible_only:
+                assert check_conditions(d).ok, print_diagram(d)
 
 
 @pytest.mark.parametrize("k,m", [(0, 5), (3, 0), (-1, 4)])

@@ -22,12 +22,14 @@ from srk import (
     og_rigid_a,
     og_rigid_b,
     og_rigid_class,
+    print_diagram,
     validate_og,
     x_counts,
     z_counts,
 )
 from srk import rigidity
 from srk.errors import (
+    EngineInvariantError,
     PositionOutOfRange,
     SearchBudgetExceeded,
     SrkError,
@@ -344,7 +346,10 @@ def test_failing_witness_query_expands_its_diagram_each_time(monkeypatch):
         expanded.append(list(seen))
         seen.clear()
     assert errors[0] == errors[1]
+    assert errors[0][0] is EngineInvariantError
     assert errors[0][1].startswith("244000}0}0}0}00 fails")
+    assert errors[0][1].endswith("(while expanding scan candidate 344000}0}0}0}00)")
     first, again = expanded
+    assert print_diagram(first[-1]) == "344000}0}0}0}00"
     assert len(first) > 1 and len(set(first)) == len(first)
     assert again == first[-1:]
