@@ -23,7 +23,7 @@ from .grassmannian import (
     gr_rigid_class,
     gr_rigid_index,
 )
-from .orthogonal import OgIndex, og_dimension, og_essential
+from .orthogonal import OgIndex, og_dimension
 from .rigidity import classify_og
 
 
@@ -63,24 +63,6 @@ def enumerate_og(k: int, n: int):
                     yield OgIndex(k, n, a, b, prime)
 
 
-_FIELD_ORDER = (
-    "space",
-    "k",
-    "n",
-    "a",
-    "b",
-    "prime",
-    "dim",
-    "essential_a",
-    "essential_b",
-    "rigid_a",
-    "rigid_b",
-    "class_rigid",
-    "envelope",
-    "warnings",
-)
-
-
 @dataclass(frozen=True)
 class CatalogRecord:
     """One classified index; ``envelope`` is set only for G, the b-side
@@ -115,10 +97,15 @@ class CatalogRecord:
 
     def to_json_line(self) -> str:
         out = {}
-        for name in _FIELD_ORDER:
-            value = getattr(self, name)
-            out[name] = list(value) if isinstance(value, tuple) else value
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
         return json.dumps(out, separators=(",", ":"))
+
+
+def _essential(verdicts) -> tuple:
+    """The 1-based positions whose verdict is not ``not_essential``."""
+    return tuple(i for i, v in enumerate(verdicts, start=1) if v.is_essential)
 
 
 def build_record(x) -> CatalogRecord:
@@ -143,7 +130,6 @@ def build_record(x) -> CatalogRecord:
         )
     if isinstance(x, OgIndex):
         rep = classify_og(x)
-        ess_a, ess_b = og_essential(x)
         return CatalogRecord(
             space="OG",
             k=x.k,
@@ -152,8 +138,8 @@ def build_record(x) -> CatalogRecord:
             b=x.b,
             prime=x.prime,
             dim=og_dimension(x),
-            essential_a=tuple(sorted(ess_a)),
-            essential_b=tuple(sorted(ess_b)),
+            essential_a=_essential(rep.a_verdicts),
+            essential_b=_essential(rep.b_verdicts),
             rigid_a=tuple(v.token() for v in rep.a_verdicts),
             rigid_b=tuple(v.token() for v in rep.b_verdicts),
             class_rigid=rep.class_rigid,

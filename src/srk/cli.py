@@ -19,8 +19,8 @@ import re
 import sys
 
 from .catalog import build_record, enumerate_gr, enumerate_og, write_catalog
-from .degeneration import expand, merge_primes, pushforward
-from .diagrams import check_conditions, parse_diagram, print_diagram
+from .degeneration import expand, is_admissible, merge_primes, pushforward
+from .diagrams import parse_diagram, print_diagram
 from .errors import SearchBudgetExceeded, SrkError, ValidationError
 from .grassmannian import GrIndex, gr_dimension, validate_gr
 from .orthogonal import og_dimension, validate_og
@@ -217,8 +217,7 @@ def _cmd_dim(args):
 def _cmd_parse(args):
     D = parse_diagram(args.text)
     print(print_diagram(D))
-    rep = check_conditions(D)
-    print(f"m={D.m} k={D.k} s={D.s} admissible={'yes' if rep.ok else 'no'}")
+    print(f"m={D.m} k={D.k} s={D.s} admissible={'yes' if is_admissible(D) else 'no'}")
     return 0
 
 

@@ -376,6 +376,15 @@ def _entry_check(D: QuadricDiagram):
         raise NotAdmissible(f"a quadric of {print_diagram(D)} does not fit in ambient {D.m}")
 
 
+def is_admissible(D: QuadricDiagram) -> bool:
+    """Whether ``expand`` and ``pushforward_diagram`` accept D."""
+    try:
+        _entry_check(D)
+    except NotAdmissible:
+        return False
+    return True
+
+
 def _expand_root(D: QuadricDiagram, push: bool, trace: bool, what: str):
     _entry_check(D)
     try:

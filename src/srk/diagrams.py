@@ -21,13 +21,13 @@ Admissibility conditions checked here, by label:
   (A2)  n_i - r_j != 1 for every bracket/quadric pair;
   (A3)  x_j >= k - j + 1 - floor((d_j - r_j)/2), where x_j = #{i : n_i <= r_j}.
 
-``enumerate_diagrams`` prunes each quadric chain while generating it: a
-corank that breaks flag existence, or (admissible mode) (3) or one of
-(A1)-(A3) given the chain placed so far, is skipped with its whole subtree.
-In admissible mode every diagram it yields is therefore admissible by
-construction and is not checked again there; the tests assert
-``check_conditions`` on every one, and ``expand`` checks each diagram it is
-given at entry.
+``enumerate_diagrams`` yields only admissible diagrams.  It prunes each
+quadric chain while generating it: a corank that breaks flag existence, (3)
+or one of (A1)-(A3) given the chain placed so far is skipped with its whole
+subtree, so every diagram it yields is admissible by construction and is not
+checked again there; the tests assert ``check_conditions`` on every one.
+Besides the enumerator, admissibility is decided only by the degeneration
+engine: at entry, for a root, and in its repair loops, for a derived diagram.
 
 Diagrams are immutable; every function here is pure.
 """
@@ -402,7 +402,7 @@ def parse_diagram(text: str) -> QuadricDiagram:
 
 # --- enumeration -----------------------------------------------------------
 
-def _quadric_profiles(q, m, dims, k, admissible_only):
+def _quadric_profiles(q, m, dims, k):
     """All (d, r) chains that can sit under the brackets ``dims`` in a
     k-part diagram: d strictly decreasing >= the largest bracket, r
     nondecreasing, r_j <= d_j and d_j + r_j <= m.  Deterministic order.
@@ -410,7 +410,7 @@ def _quadric_profiles(q, m, dims, k, admissible_only):
     While the chain is filled, a corank is skipped as soon as the chain so
     far breaks a rule, so no chain is built that must fail:
 
-      flag existence  r_j >= 2 n_s - d_j (the constructor's rule, both modes);
+      flag existence  r_j >= 2 n_s - d_j (the constructor's rule);
       (A1)            r_q <= d_q - 3 on the innermost quadric;
       (A2)            r_j + 1 is not a bracket dimension;
       (A3)            #{i : n_i <= r_j} >= k - j + 1 - floor((d_j - r_j)/2);
@@ -423,9 +423,8 @@ def _quadric_profiles(q, m, dims, k, admissible_only):
     r_{t-1} = r_t > r_1, the braces are adjacent, d_{t-1} - d_t = 1; after
     that pair each step keeps r_j - r_{j-1} = d_{j-1} - d_j.
 
-    (A1)-(A3) and (3) prune only with ``admissible_only``, and then every
-    chain yielded passes (1)-(3) and (A1)-(A3).  The skipped coranks would
-    all fail later, so the survivors come in the same order as in an
+    Every chain yielded passes (1)-(3) and (A1)-(A3).  The skipped coranks
+    would all fail later, so the survivors come in the same order as in an
     unpruned loop.
     """
     if q == 0:
@@ -443,25 +442,24 @@ def _quadric_profiles(q, m, dims, k, admissible_only):
                 return
             d = ds[j]
             cap = min(d, m - d)
-            if admissible_only and j == q - 1:
+            if j == q - 1:
                 cap = min(cap, d - 3)  # (A1)
             for r in range(max(prev_r, 2 * top - d), cap + 1):
+                # (A2), then (A3) for the quadric numbered j + 1
+                if r + 1 in dims or (
+                    sum(1 for v in dims if v <= r) < k - j - (d - r) // 2
+                ):
+                    continue
                 ok, pair = second, tail
-                if admissible_only:
-                    # (A2), then (A3) for the quadric numbered j + 1
-                    if r + 1 in dims or (
-                        sum(1 for v in dims if v <= r) < k - j - (d - r) // 2
-                    ):
-                        continue
-                    if j and ok:
-                        if any(r - acc[i] < j - i - 1 for i in range(j - 1)):
-                            ok = False
-                        elif tail:
-                            ok = r - prev_r == ds[j - 1] - d
-                        elif r == prev_r > acc[0]:
-                            ok, pair = ds[j - 1] - d == 1, True
-                    if not ok and not (r == acc[0] and r in dims):
-                        continue
+                if j and ok:
+                    if any(r - acc[i] < j - i - 1 for i in range(j - 1)):
+                        ok = False
+                    elif tail:
+                        ok = r - prev_r == ds[j - 1] - d
+                    elif r == prev_r > acc[0]:
+                        ok, pair = ds[j - 1] - d == 1, True
+                if not ok and not (r == acc[0] and r in dims):
+                    continue
                 acc.append(r)
                 yield from fill(j + 1, r, acc, ok, pair)
                 acc.pop()
@@ -470,16 +468,15 @@ def _quadric_profiles(q, m, dims, k, admissible_only):
             yield tuple(Quadric(d, r) for d, r in zip(ds, rs))
 
 
-def enumerate_diagrams(k: int, m: int, admissible_only: bool = True):
-    """Every diagram with k parts in ambient m, in canonical order.
+def enumerate_diagrams(k: int, m: int):
+    """Every admissible diagram with k parts in ambient m, in canonical order.
 
     Brackets range over isotropic dimensions (<= m/2, primed variants when a
-    bracket sits exactly at m/2), quadrics over chains with d_j + r_j <= m.
-    With ``admissible_only`` the conditions (1)-(3), (A1)-(A3) must all pass.
-    ``_quadric_profiles`` never builds a chain that breaks flag existence or,
-    with ``admissible_only``, (3) or (A1)-(A3), so every diagram yielded is
-    admissible by construction and none is checked here; the tests assert
-    ``check_conditions`` on every one.
+    bracket sits exactly at m/2), quadrics over chains with d_j + r_j <= m,
+    so every diagram yielded fits its ambient.  ``_quadric_profiles`` never
+    builds a chain that breaks flag existence, (3) or (A1)-(A3), so every
+    diagram yielded passes (1)-(3) and (A1)-(A3) by construction and none is
+    checked here; the tests assert ``check_conditions`` on every one.
     Raises ``OutOfBounds`` when k < 1 or m < 1.
     """
     if k < 1 or m < 1:
@@ -494,5 +491,5 @@ def enumerate_diagrams(k: int, m: int, admissible_only: bool = True):
                     tuple(Bracket(v) for v in dims[:-1]) + (Bracket(dims[-1], True),)
                 )
             for brackets in variants:
-                for quadrics in _quadric_profiles(q, m, dims, k, admissible_only):
+                for quadrics in _quadric_profiles(q, m, dims, k):
                     yield QuadricDiagram(m, brackets, quadrics)

@@ -43,13 +43,11 @@ class SplitsIntoTwo(ValidationError):
     where the first lowers a_i and the second raises b_j.
     """
 
-    def __init__(self, i, j, split_pair, msg=None):
+    def __init__(self, i, j, split_pair):
         self.i = i
         self.j = j
         self.split_pair = split_pair
-        super().__init__(
-            msg or f"a_{i} = b_{j} + 1; the locus splits into {split_pair}"
-        )
+        super().__init__(f"a_{i} = b_{j} + 1; the locus splits into {split_pair}")
 
 
 class PositionOutOfRange(ValidationError):
@@ -76,10 +74,6 @@ class InconsistentDigits(ValidationError):
 
 class MarkerMisplaced(ValidationError):
     """A ]' marker appears somewhere other than position m/2."""
-
-
-class NotDiagramRepresentable(ValidationError):
-    """Index has an even-n boundary condition and rewriting was disabled."""
 
 
 class NotSchubertDiagram(ValidationError):

@@ -39,7 +39,6 @@ class Verdict:
         return self.token()
 
 
-RIGID = Verdict("rigid")
 NOT_ESSENTIAL = Verdict("not_essential")
 
 

@@ -199,26 +199,10 @@ def og_rigid_b(x: OgIndex, j: int) -> Verdict:
 
 
 def og_rigid_class(x: OgIndex) -> tuple:
-    """(class is rigid, the two characterizations agree).
-
-    The normative verdict demands every essential position be rigid; the
-    literal two-clause test on the largest essential b is evaluated alongside
-    (clause 1 skipped when no essential b-position exists).
-    """
-    ess_a, ess_b = og_essential(x)
-    all_rigid = all(og_rigid_a(x, i).is_rigid for i in ess_a) and all(
-        og_rigid_b(x, j).is_rigid for j in ess_b
-    )
-    if ess_b:
-        gamma = max(ess_b)
-        bg = x.b[gamma - 1]
-        cond1 = bg in x.a and Fraction(x_counts(x)[gamma - 1]) > (
-            x.k - gamma + bg - _half(x.n)
-        )
-    else:
-        cond1 = True
-    cond2 = not any(_mt1_fires(x, i) for i in range(1, x.s))
-    return all_rigid, all_rigid == (cond1 and cond2)
+    """(class is rigid, the two characterizations agree), as ``classify_og``
+    decides them."""
+    rep = classify_og(x)
+    return rep.class_rigid, rep.method_agreement
 
 
 @dataclass
@@ -253,14 +237,30 @@ class RigidityReport:
 
 
 def classify_og(x: OgIndex) -> RigidityReport:
-    """Run every per-position and class-level test on one index."""
+    """Run every per-position and class-level test on one index.
+
+    The class is rigid when every essential position is; the literal
+    two-clause test on the largest essential b is evaluated alongside
+    (clause 1 skipped when no essential b-position exists), and
+    ``method_agreement`` says whether the two agree.
+    """
     a_verdicts = tuple(og_rigid_a(x, i) for i in range(1, x.s + 1))
     b_verdicts = tuple(og_rigid_b(x, j) for j in range(1, len(x.b) + 1))
-    class_rigid, agree = og_rigid_class(x)
+    class_rigid = all(v.is_rigid for v in a_verdicts + b_verdicts if v.is_essential)
+    ess_b = [j for j, v in enumerate(b_verdicts, start=1) if v.is_essential]
+    if ess_b:
+        gamma = ess_b[-1]
+        bg = x.b[gamma - 1]
+        cond1 = bg in x.a and Fraction(x_counts(x)[gamma - 1]) > (
+            x.k - gamma + bg - _half(x.n)
+        )
+    else:
+        cond1 = True
+    cond2 = not any(_mt1_fires(x, i) for i in range(1, x.s))
     warnings = []
     if x.n <= 2 * x.k + 1:
         warnings.append(WARN_SMALL_REGIME)
-    if not og_essential(x)[1]:
+    if not ess_b:
         warnings.append(WARN_NO_ESSENTIAL_B)
     for pos, v in enumerate(a_verdicts, start=1):
         if v.kind == "disputed":
@@ -273,7 +273,7 @@ def classify_og(x: OgIndex) -> RigidityReport:
         a_verdicts=a_verdicts,
         b_verdicts=b_verdicts,
         class_rigid=class_rigid,
-        method_agreement=agree,
+        method_agreement=class_rigid == (cond1 and cond2),
         warnings=tuple(warnings),
         z=z_counts(x),
         x=x_counts(x),
@@ -308,7 +308,7 @@ class _DiagramMemo:
         self._k, self._n = k, n
         self._items: list = []
         self._classes: list = []
-        self._source = enumerate_diagrams(k, n, admissible_only=True)
+        self._source = enumerate_diagrams(k, n)
         self._exhausted = False
         self._lock = threading.Lock()
 
@@ -324,7 +324,7 @@ class _DiagramMemo:
                     # an interrupted generator is finished for good; resume
                     # from a fresh one so later scans still see every diagram
                     self._source = islice(
-                        enumerate_diagrams(self._k, self._n, admissible_only=True),
+                        enumerate_diagrams(self._k, self._n),
                         len(self._items),
                         None,
                     )

@@ -146,7 +146,7 @@ def _all_admissible(k_max=3, n_max=8):
 
     for k in range(1, k_max + 1):
         for n in range(2 * k, n_max + 1):
-            yield from enumerate_diagrams(k, n, admissible_only=True)
+            yield from enumerate_diagrams(k, n)
 
 
 def test_acceptance_08_dimension_homogeneity():

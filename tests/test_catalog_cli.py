@@ -4,20 +4,25 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
 from srk import (
+    Bracket,
+    QuadricDiagram,
     build_record,
     enumerate_gr,
     enumerate_og,
+    expand,
+    print_diagram,
     read_catalog,
     validate_gr,
     validate_og,
     write_catalog,
 )
 from srk.cli import main as cli_main
-from srk.errors import CatalogIOError, SchemaError
+from srk.errors import CatalogIOError, InvalidDiagram, NotAdmissible, SchemaError
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -260,6 +265,59 @@ def test_cli_dim_and_parse():
     assert out.stdout.strip() == "2"
     out = run_cli("parse", "m=6 k=2 a=2 q=5:0")
     assert out.stdout.splitlines() == ["00]000}0", "m=6 k=2 s=1 admissible=yes"]
+    # each passes the conditions but does not fit its ambient, so expand
+    # refuses it
+    for text, shape in (("0000]00", "m=6 k=1 s=1"), ("11000}", "m=5 k=1 s=0")):
+        out = run_cli("parse", text)
+        assert out.returncode == 0
+        assert out.stdout.splitlines() == [text, f"{shape} admissible=no"]
+
+
+def _coranks(ds, acc=()):
+    """Every nondecreasing corank chain with r_j <= d_j."""
+    if len(acc) == len(ds):
+        yield acc
+        return
+    for r in range(acc[-1] if acc else 0, ds[len(acc)] + 1):
+        yield from _coranks(ds, acc + (r,))
+
+
+def _constructible_diagrams(m):
+    """Every diagram the constructor accepts in ambient m.  Brackets range
+    over 1..m and coranks up to d, past the isotropic bound and the ambient
+    fit that the enumerators never cross."""
+    for s in range(m + 1):
+        for dims in combinations(range(1, m + 1), s):
+            variants = [tuple(Bracket(v) for v in dims)]
+            if m % 2 == 0 and m // 2 in dims:
+                variants.append(tuple(Bracket(v, 2 * v == m) for v in dims))
+            for brackets in variants:
+                for q in range(m + 1):
+                    for dset in combinations(range(max(dims, default=1), m + 1), q):
+                        ds = dset[::-1]
+                        for rs in _coranks(ds):
+                            try:
+                                yield QuadricDiagram(m, brackets, tuple(zip(ds, rs)))
+                            except InvalidDiagram:
+                                pass
+
+
+def test_cli_parse_admissible_means_expand_accepts(capsys):
+    seen = accepted = 0
+    for m in range(1, 8):
+        for D in _constructible_diagrams(m):
+            text = print_diagram(D)
+            assert cli_main(["parse", text]) == 0
+            verdict = capsys.readouterr().out.splitlines()[-1].rsplit("=", 1)[1]
+            try:
+                expand(D)
+            except NotAdmissible:
+                assert verdict == "no", text
+            else:
+                assert verdict == "yes", text
+                accepted += 1
+            seen += 1
+    assert (seen, accepted) == (13165, 155)
 
 
 def test_cli_witness_found_and_none():

@@ -127,43 +127,6 @@ def test_syntax_error_carries_position():
     assert exc.value.position == 2
 
 
-_POOL = [
-    d
-    for k in range(1, 4)
-    for m in range(2 * k, 10)
-    for d in enumerate_diagrams(k, m, admissible_only=False)
-]
-
-
-def test_pool_is_reasonably_large():
-    assert len(_POOL) > 400
-
-
-@given(st.sampled_from(_POOL))
-def test_print_parse_roundtrip(d):
-    assert parse_diagram(print_diagram(d)) == d
-    assert parse_diagram(print_diagram(d, form="verbose")) == d
-    plain = QuadricDiagram(d.m, tuple(map(tuple, d.brackets)), tuple(map(tuple, d.quadrics)))
-    assert plain == d and hash(plain) == hash(d) and repr(plain) == repr(d)
-
-
-@given(st.sampled_from(_POOL))
-def test_digit_blocks_are_contiguous(d):
-    digs = digits(d)
-    for j, q in enumerate(d.quadrics, start=1):
-        prev = d.quadrics[j - 2].r if j >= 2 else 0
-        assert [pos for pos in range(1, d.m + 1) if digs[pos - 1] == j] == list(
-            range(prev + 1, q.r + 1)
-        )
-
-
-def test_enumeration_is_deterministic_and_admissible():
-    first = list(enumerate_diagrams(2, 7))
-    second = list(enumerate_diagrams(2, 7))
-    assert first == second
-    assert all(check_conditions(d).ok for d in first)
-
-
 def _unpruned_diagrams(k, m, admissible_only=True):
     """Reference enumeration without pruning: every bracket set and every
     quadric chain is constructed, constructor rejections are skipped, and
@@ -211,6 +174,43 @@ def _unpruned_chains(q, m, min_d):
             yield tuple(Quadric(d, r) for d, r in zip(ds, rs))
 
 
+_POOL = [
+    d
+    for k in range(1, 4)
+    for m in range(2 * k, 10)
+    for d in _unpruned_diagrams(k, m, admissible_only=False)
+]
+
+
+def test_pool_is_reasonably_large():
+    assert len(_POOL) > 400
+
+
+@given(st.sampled_from(_POOL))
+def test_print_parse_roundtrip(d):
+    assert parse_diagram(print_diagram(d)) == d
+    assert parse_diagram(print_diagram(d, form="verbose")) == d
+    plain = QuadricDiagram(d.m, tuple(map(tuple, d.brackets)), tuple(map(tuple, d.quadrics)))
+    assert plain == d and hash(plain) == hash(d) and repr(plain) == repr(d)
+
+
+@given(st.sampled_from(_POOL))
+def test_digit_blocks_are_contiguous(d):
+    digs = digits(d)
+    for j, q in enumerate(d.quadrics, start=1):
+        prev = d.quadrics[j - 2].r if j >= 2 else 0
+        assert [pos for pos in range(1, d.m + 1) if digs[pos - 1] == j] == list(
+            range(prev + 1, q.r + 1)
+        )
+
+
+def test_enumeration_is_deterministic_and_admissible():
+    first = list(enumerate_diagrams(2, 7))
+    second = list(enumerate_diagrams(2, 7))
+    assert first == second
+    assert all(check_conditions(d).ok for d in first)
+
+
 def _assert_shape(d):
     """The shape stored at construction equals the shape of the parts."""
     assert d.bracket_dims == tuple(b.dim for b in d.brackets)
@@ -222,25 +222,21 @@ def _assert_shape(d):
     )
 
 
-@pytest.mark.parametrize("admissible_only", [True, False])
-def test_pruned_enumeration_matches_unpruned_reference(admissible_only):
+def test_pruned_enumeration_matches_unpruned_reference():
     """Same diagrams in the same order as the reference.  The enumerator runs
-    no check of its own, so in admissible mode every diagram it yields must
-    pass the full check; and every diagram's stored shape matches its parts."""
-    spaces = [(k, m) for k in range(1, 4) for m in range(1, 13)] + [(4, 9), (4, 10)]
-    if admissible_only:
-        spaces.append((4, 11))  # the space of the failing witness_sweep queries
-    for k, m in spaces:
-        got = list(enumerate_diagrams(k, m, admissible_only))
-        assert got == list(_unpruned_diagrams(k, m, admissible_only)), (k, m)
+    no check of its own, so every diagram it yields must pass the full check;
+    and every diagram's stored shape matches its parts."""
+    spaces = [(k, m) for k in range(1, 4) for m in range(1, 13)]
+    # (4, 11) is the space of the failing witness_sweep queries
+    for k, m in spaces + [(4, 9), (4, 10), (4, 11)]:
+        got = list(enumerate_diagrams(k, m))
+        assert got == list(_unpruned_diagrams(k, m)), (k, m)
         for d in got:
             _assert_shape(d)
-            if admissible_only:
-                assert check_conditions(d).ok, print_diagram(d)
+            assert check_conditions(d).ok, print_diagram(d)
 
 
 @pytest.mark.parametrize("k,m", [(0, 5), (3, 0), (-1, 4)])
 def test_enumeration_of_an_empty_range_raises(k, m):
-    for admissible_only in (True, False):
-        with pytest.raises(OutOfBounds):
-            list(enumerate_diagrams(k, m, admissible_only))
+    with pytest.raises(OutOfBounds):
+        list(enumerate_diagrams(k, m))

@@ -22,7 +22,6 @@ from srk.errors import (
     BadPrime,
     Bounds,
     NoIsotropicRoom,
-    NotDiagramRepresentable,
     NotSchubertDiagram,
     NotStrictlyIncreasing,
     SplitsIntoTwo,
@@ -60,12 +59,6 @@ def test_validate_rejects(kwargs, err):
         validate_og(**kwargs)
 
 
-def test_declared_s_must_match():
-    assert validate_og(2, 6, [1], [1], s=1) == validate_og(2, 6, [1], [1])
-    with pytest.raises(BadArity):
-        validate_og(2, 6, [1], [1], s=2)
-
-
 def test_essential_examples():
     assert og_essential(validate_og(2, 6, [1], [1])) == ({1}, {1})
     ess_a, _ = og_essential(validate_og(3, 6, [1, 3], [1]))
@@ -86,8 +79,6 @@ def test_og_to_diagram_rewrites_even_boundary():
     D = og_to_diagram(x)
     assert D == QuadricDiagram(8, (Bracket(2), Bracket(4, True)), ())
     assert canonical_index(x) == validate_og(2, 8, [2, 4], [], prime=True)
-    with pytest.raises(NotDiagramRepresentable):
-        og_to_diagram(x, rewrite=False)
 
 
 def test_diagram_to_og_examples():

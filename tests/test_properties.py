@@ -13,6 +13,7 @@ from srk import (
 )
 from srk.errors import AlreadyTerminal, ValidationError
 from srk.orthogonal import needs_rewrite
+from test_diagrams import _unpruned_diagrams
 
 
 def _schubert_like(D):
@@ -24,7 +25,7 @@ def test_terminal_diagrams_are_exactly_the_valid_indices():
     to a valid index (exhaustive over structurally valid diagrams)."""
     for k in range(1, 4):
         for m in range(2 * k, 10):
-            for D in enumerate_diagrams(k, m, admissible_only=False):
+            for D in _unpruned_diagrams(k, m, admissible_only=False):
                 if not _schubert_like(D):
                     continue
                 try:
@@ -36,11 +37,18 @@ def test_terminal_diagrams_are_exactly_the_valid_indices():
 
 
 def test_schubert_diagrams_of_enumerated_indices_are_admissible():
-    for k in range(1, 4):
-        for n in range(2 * k, 10):
-            for x in enumerate_og(k, n):
+    """og_to_diagram checks nothing: the Schubert diagram of every valid
+    index of k <= 6, n <= 14 is admissible, the even-n boundary forms
+    b_{k-s} = n/2 - 1 that enumerate_og skips included."""
+    from srk import OgIndex
+
+    for k in range(1, 7):
+        for n in range(2 * k, 15):
+            xs = list(enumerate_og(k, n))
+            xs += [OgIndex(k, n, x.a[:-1], x.b + (n // 2 - 1,)) for x in xs if x.prime]
+            for x in xs:
                 D = og_to_diagram(x)
-                assert check_conditions(D).ok
+                assert check_conditions(D).ok, str(x)
                 if not needs_rewrite(x):
                     assert diagram_to_og(D) == x
 
@@ -53,7 +61,7 @@ def test_terminal_admissible_diagrams_are_the_schubert_diagrams():
     spaces = [(k, m) for k in range(1, 6) for m in range(2 * k, 13)]
     for k, m in spaces + [(6, 12), (6, 13)]:
         terminal = set()
-        for D in enumerate_diagrams(k, m, admissible_only=True):
+        for D in enumerate_diagrams(k, m):
             assert not D.brackets or 2 * D.bracket_dims[-1] <= m, str(D)
             assert all(s <= m for s in D.sums), str(D)
             if _schubert_like(D):
@@ -64,7 +72,7 @@ def test_terminal_admissible_diagrams_are_the_schubert_diagrams():
 def test_step_children_remain_admissible():
     for k in range(1, 4):
         for m in range(2 * k, 9):
-            for D in enumerate_diagrams(k, m, admissible_only=True):
+            for D in enumerate_diagrams(k, m):
                 try:
                     _, children = step(D)
                 except AlreadyTerminal:
@@ -76,7 +84,7 @@ def test_step_children_remain_admissible():
 def test_expansion_coefficients_positive_and_deterministic():
     for k in range(1, 3):
         for m in range(2 * k, 9):
-            for D in enumerate_diagrams(k, m, admissible_only=True):
+            for D in enumerate_diagrams(k, m):
                 S = expand(D)
                 assert S == expand(D)
                 assert all(c >= 1 for _, c in S)
