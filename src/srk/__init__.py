@@ -24,6 +24,7 @@ from .diagrams import (
     Quadric,
     QuadricDiagram,
     check_conditions,
+    diagram_dimension,
     digits,
     enumerate_diagrams,
     parse_diagram,
@@ -90,6 +91,7 @@ __all__ = [
     "classify_og",
     "derive_and_fix_a",
     "derive_and_fix_b",
+    "diagram_dimension",
     "diagram_to_og",
     "digits",
     "enumerate_diagrams",

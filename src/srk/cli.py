@@ -66,6 +66,7 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", default=None)
+    p.add_argument("--prime", action="store_true")
 
     p = sub.add_parser("enumerate", help="classify a whole space into a catalog")
     p.add_argument("--space", choices=["g", "og"], required=True)
@@ -79,6 +80,7 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
+    p.add_argument("--prime", action="store_true")
     p.add_argument("--position", required=True, metavar="{a|b}:I")
     p.add_argument("--budget", type=int, default=None)
 
@@ -97,13 +99,7 @@ def _build_parser():
 
 
 def _og_index(args):
-    return validate_og(
-        args.k,
-        args.n,
-        _int_list(args.a),
-        _int_list(args.b),
-        getattr(args, "prime", False),
-    )
+    return validate_og(args.k, args.n, _int_list(args.a), _int_list(args.b), args.prime)
 
 
 def _gr_index(args):

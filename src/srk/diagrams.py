@@ -34,6 +34,7 @@ Diagrams are immutable; every function here is pure.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
@@ -78,55 +79,71 @@ class QuadricDiagram:
     k: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        brackets, quadrics = self.brackets, self.quadrics
-        if not all(isinstance(b, Bracket) for b in brackets):
-            brackets = [Bracket(*b) for b in brackets]
-        if not all(isinstance(q, Quadric) for q in quadrics):
-            quadrics = [Quadric(*q) for q in quadrics]
-        brackets, quadrics = tuple(brackets), tuple(quadrics)
-        dims = tuple(b.dim for b in brackets)
-        ds = tuple(q.d for q in quadrics)
-        rs = tuple(q.r for q in quadrics)
-        init = object.__setattr__  # the dataclass is frozen
-        init(self, "brackets", brackets)
-        init(self, "quadrics", quadrics)
-        init(self, "bracket_dims", dims)
-        init(self, "ds", ds)
-        init(self, "rs", rs)
-        init(self, "sums", tuple(d + r for d, r in quadrics))
-        init(self, "s", len(brackets))
-        init(self, "q", len(quadrics))
-        init(self, "k", len(brackets) + len(quadrics))
-        if self.m < 1:
-            raise InvalidDiagram(f"need m >= 1, got {self.m}")
-        if not brackets and not quadrics:
+        # Every diagram the enumerator and the engine build comes through
+        # here, so the checks are plain loops and the shape is stored with
+        # one __dict__ update.  Parts given as plain tuples are wrapped
+        # first; the checks then run in a fixed order.
+        m = self.m
+        brackets = tuple(
+            [b if type(b) is Bracket else Bracket(*b) for b in self.brackets]
+        )
+        quadrics = tuple(
+            [q if type(q) is Quadric else Quadric(*q) for q in self.quadrics]
+        )
+        dims = tuple([b[0] for b in brackets])
+        ds, rs = zip(*quadrics) if quadrics else ((), ())
+        s, q = len(brackets), len(quadrics)
+        # the dataclass is frozen: fill the instance dict directly
+        self.__dict__.update(
+            brackets=brackets,
+            quadrics=quadrics,
+            bracket_dims=dims,
+            ds=ds,
+            rs=rs,
+            sums=tuple([d + r for d, r in quadrics]),
+            s=s,
+            q=q,
+            k=s + q,
+        )
+        if m < 1:
+            raise InvalidDiagram(f"need m >= 1, got {m}")
+        if not s and not q:
             raise InvalidDiagram("diagram needs at least one bracket or brace")
-        if any(x >= y for x, y in zip(dims, dims[1:])):
-            raise InvalidDiagram(f"bracket dims must strictly increase: {dims}")
-        if dims and (dims[0] < 1 or dims[-1] > self.m):
-            raise InvalidDiagram(f"bracket dims must lie in 1..{self.m}: {dims}")
-        for b in brackets:
-            if b.prime and 2 * b.dim != self.m:
+        prev = None
+        for v in dims:
+            if prev is not None and prev >= v:
+                raise InvalidDiagram(f"bracket dims must strictly increase: {dims}")
+            prev = v
+        if s and (dims[0] < 1 or dims[-1] > m):
+            raise InvalidDiagram(f"bracket dims must lie in 1..{m}: {dims}")
+        for dim, prime in brackets:
+            if prime and 2 * dim != m:
                 raise InvalidDiagram(
-                    f"prime marker only allowed at dimension {self.m}/2, got {b.dim}"
+                    f"prime marker only allowed at dimension {m}/2, got {dim}"
                 )
-        if any(x <= y for x, y in zip(ds, ds[1:])):
-            raise InvalidDiagram(f"quadric dims must strictly decrease: {ds}")
-        if any(x > y for x, y in zip(rs, rs[1:])):
-            raise InvalidDiagram(f"coranks must be nondecreasing: {rs}")
+        prev = None
+        for d in ds:
+            if prev is not None and prev <= d:
+                raise InvalidDiagram(f"quadric dims must strictly decrease: {ds}")
+            prev = d
+        prev = None
+        for r in rs:
+            if prev is not None and prev > r:
+                raise InvalidDiagram(f"coranks must be nondecreasing: {rs}")
+            prev = r
         for d, r in quadrics:
-            if not (1 <= d <= self.m):
-                raise InvalidDiagram(f"quadric dim {d} outside 1..{self.m}")
+            if not (1 <= d <= m):
+                raise InvalidDiagram(f"quadric dim {d} outside 1..{m}")
             if not (0 <= r <= d):
                 raise InvalidDiagram(f"corank {r} outside 0..{d}")
-        if dims and ds and dims[-1] > ds[-1]:
-            raise InvalidDiagram(
-                f"largest bracket {dims[-1]} sticks out of smallest brace {ds[-1]}"
-            )
-        # flag existence: an isotropic space inside Q_d^r has dimension at
-        # most r + (d - r)/2, i.e. floor((d + r)/2)
-        if dims:
+        if s and q:
             top = dims[-1]
+            if top > ds[-1]:
+                raise InvalidDiagram(
+                    f"largest bracket {top} sticks out of smallest brace {ds[-1]}"
+                )
+            # flag existence: an isotropic space inside Q_d^r has dimension
+            # at most r + (d - r)/2, i.e. floor((d + r)/2)
             for d, r in quadrics:
                 if top > (d + r) // 2:
                     raise InvalidDiagram(
@@ -180,8 +197,25 @@ class AdmissibilityReport:
 
 def x_profile(D: QuadricDiagram) -> tuple:
     """x_j = number of brackets with n_i <= r_j."""
-    dims = D.bracket_dims
-    return tuple(sum(1 for v in dims if v <= q.r) for q in D.quadrics)
+    dims = D.bracket_dims  # strictly increasing
+    return tuple([bisect_right(dims, r) for r in D.rs])
+
+
+def diagram_dimension(D: QuadricDiagram) -> int:
+    """Dimension of the restriction variety of D, by the closed form
+
+        sum_i (n_i - i) + sum_j (d_j - 2s - 2j + x_j),  x_j = #{i : n_i <= r_j}.
+
+    On the Schubert diagram of an index (d_j = m - b_j, r_j = b_j) this is
+    ``og_dimension``'s formula.  Every term of ``expand(D)`` has this
+    dimension, and every diagram ``step`` derives from D has it too (both
+    checked exhaustively in the tests).
+    """
+    s = D.s
+    total = sum(D.bracket_dims) - s * (s + 1) // 2
+    for j, (d, x) in enumerate(zip(D.ds, x_profile(D)), start=1):
+        total += d - 2 * s - 2 * j + x
+    return total
 
 
 def check_conditions(D: QuadricDiagram) -> AdmissibilityReport:
@@ -446,18 +480,19 @@ def _quadric_profiles(q, m, dims, k):
                 cap = min(cap, d - 3)  # (A1)
             for r in range(max(prev_r, 2 * top - d), cap + 1):
                 # (A2), then (A3) for the quadric numbered j + 1
-                if r + 1 in dims or (
-                    sum(1 for v in dims if v <= r) < k - j - (d - r) // 2
-                ):
+                if r + 1 in dims or bisect_right(dims, r) < k - j - (d - r) // 2:
                     continue
                 ok, pair = second, tail
                 if j and ok:
-                    if any(r - acc[i] < j - i - 1 for i in range(j - 1)):
-                        ok = False
-                    elif tail:
-                        ok = r - prev_r == ds[j - 1] - d
-                    elif r == prev_r > acc[0]:
-                        ok, pair = ds[j - 1] - d == 1, True
+                    for i in range(j - 1):
+                        if r - acc[i] < j - i - 1:
+                            ok = False
+                            break
+                    else:
+                        if tail:
+                            ok = r - prev_r == ds[j - 1] - d
+                        elif r == prev_r > acc[0]:
+                            ok, pair = ds[j - 1] - d == 1, True
                 if not ok and not (r == acc[0] and r in dims):
                     continue
                 acc.append(r)

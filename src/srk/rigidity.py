@@ -14,7 +14,12 @@ deformations contradicting the arithmetic test, and those come back as
 
 ``find_nonrigid_witness`` searches for hard evidence: a restriction-variety
 diagram whose expansion is exactly the class but which omits the flag element
-the queried position asserts.
+the queried position asserts.  A diagram's dimension is read off the diagram
+(``diagram_dimension``) and every term of its expansion has that dimension,
+so a candidate of another dimension than the class is skipped unexpanded: an
+engine error in its expansion can no longer abort the scan.  A candidate of
+the class's dimension is expanded, and its engine error still aborts the
+scan; no error is caught.
 """
 
 from __future__ import annotations
@@ -28,7 +33,12 @@ from itertools import islice
 
 from .classsum import ClassSum
 from .degeneration import expand
-from .diagrams import QuadricDiagram, enumerate_diagrams, print_diagram
+from .diagrams import (
+    QuadricDiagram,
+    diagram_dimension,
+    enumerate_diagrams,
+    print_diagram,
+)
 from .errors import (
     EngineInvariantError,
     PositionOutOfRange,
@@ -36,7 +46,13 @@ from .errors import (
     ValidationError,
 )
 from .grassmannian import NOT_ESSENTIAL, Verdict
-from .orthogonal import OgIndex, canonical_index, needs_rewrite, og_essential
+from .orthogonal import (
+    OgIndex,
+    canonical_index,
+    needs_rewrite,
+    og_dimension,
+    og_essential,
+)
 
 DEFAULT_SEARCH_BUDGET = 100_000
 
@@ -111,7 +127,7 @@ def _disputed_note(x: OgIndex, i: int) -> str | None:
     return None
 
 
-def _b_boundary_disputed(x: OgIndex, j: int) -> bool:
+def _b_boundary_disputed(x: OgIndex, j: int, xs: tuple) -> bool:
     """Whether the B-RIGID verdict at j sits on the contested threshold.
 
     For odd n, the deformation analysis behind the b-side test puts the
@@ -120,11 +136,10 @@ def _b_boundary_disputed(x: OgIndex, j: int) -> bool:
     sits exactly there, the class expansion produces a concrete restriction
     variety deforming the flag element, contradicting the Rigid arithmetic.
     Flagged only for n >= 2k + 2 (below that the small-regime warning
-    already covers the index).
+    already covers the index).  ``xs`` is ``x_counts(x)``.
     """
     if x.n % 2 == 0 or x.n < 2 * x.k + 2:
         return False
-    xs = x_counts(x)
     matches = [jp for jp in range(j, len(x.b) + 1) if x.b[jp - 1] in x.a]
     if not matches:
         return False
@@ -144,24 +159,7 @@ def og_rigid_a(x: OgIndex, i: int) -> Verdict:
     """
     if not (1 <= i <= x.s):
         raise PositionOutOfRange(f"a-position {i} not in 1..{x.s}")
-    if i not in og_essential(x)[0]:
-        return NOT_ESSENTIAL
-    if _mt1_fires(x, i):
-        return Verdict("not_rigid", clause="MT-1")
-    ai = x.a[i - 1]
-    if ai in x.b:
-        j = x.b.index(ai) + 1
-        if Fraction(x_counts(x)[j - 1]) == x.k - j + ai - _half(x.n):
-            return Verdict("not_rigid", clause="MT-2")
-        if _b_boundary_disputed(x, j):
-            return Verdict(
-                "disputed",
-                note="rests on a b-side verdict at the contested threshold",
-            )
-    note = _disputed_note(x, i)
-    if note is not None:
-        return Verdict("disputed", note=note)
-    return Verdict("rigid")
+    return _rigid_a(x, i, og_essential(x)[0], x_counts(x))
 
 
 def og_rigid_b(x: OgIndex, j: int) -> Verdict:
@@ -173,13 +171,41 @@ def og_rigid_b(x: OgIndex, j: int) -> Verdict:
     """
     if not (1 <= j <= len(x.b)):
         raise PositionOutOfRange(f"b-position {j} not in 1..{len(x.b)}")
-    if j not in og_essential(x)[1]:
+    return _rigid_b(x, j, og_essential(x)[1], x_counts(x))
+
+
+def _rigid_a(x: OgIndex, i: int, ess_a: set, xs: tuple) -> Verdict:
+    """``og_rigid_a`` for an a-position in range, given the essential
+    a-positions and ``x_counts(x)``."""
+    if i not in ess_a:
         return NOT_ESSENTIAL
-    xs = x_counts(x)
+    if _mt1_fires(x, i):
+        return Verdict("not_rigid", clause="MT-1")
+    ai = x.a[i - 1]
+    if ai in x.b:
+        j = x.b.index(ai) + 1
+        if Fraction(xs[j - 1]) == x.k - j + ai - _half(x.n):
+            return Verdict("not_rigid", clause="MT-2")
+        if _b_boundary_disputed(x, j, xs):
+            return Verdict(
+                "disputed",
+                note="rests on a b-side verdict at the contested threshold",
+            )
+    note = _disputed_note(x, i)
+    if note is not None:
+        return Verdict("disputed", note=note)
+    return Verdict("rigid")
+
+
+def _rigid_b(x: OgIndex, j: int, ess_b: set, xs: tuple) -> Verdict:
+    """``og_rigid_b`` for a b-position in range, given the essential
+    b-positions and ``x_counts(x)``."""
+    if j not in ess_b:
+        return NOT_ESSENTIAL
     for jp in range(j, len(x.b) + 1):
         bjp = x.b[jp - 1]
         if bjp in x.a and Fraction(xs[jp - 1]) > x.k - jp + bjp - _half(x.n):
-            if _b_boundary_disputed(x, j):
+            if _b_boundary_disputed(x, j, xs):
                 return Verdict(
                     "disputed",
                     note="arithmetic test says rigid, but the class expansion "
@@ -244,14 +270,16 @@ def classify_og(x: OgIndex) -> RigidityReport:
     (clause 1 skipped when no essential b-position exists), and
     ``method_agreement`` says whether the two agree.
     """
-    a_verdicts = tuple(og_rigid_a(x, i) for i in range(1, x.s + 1))
-    b_verdicts = tuple(og_rigid_b(x, j) for j in range(1, len(x.b) + 1))
+    ess = og_essential(x)
+    xs = x_counts(x)
+    a_verdicts = tuple(_rigid_a(x, i, ess[0], xs) for i in range(1, x.s + 1))
+    b_verdicts = tuple(_rigid_b(x, j, ess[1], xs) for j in range(1, len(x.b) + 1))
     class_rigid = all(v.is_rigid for v in a_verdicts + b_verdicts if v.is_essential)
     ess_b = [j for j, v in enumerate(b_verdicts, start=1) if v.is_essential]
     if ess_b:
         gamma = ess_b[-1]
         bg = x.b[gamma - 1]
-        cond1 = bg in x.a and Fraction(x_counts(x)[gamma - 1]) > (
+        cond1 = bg in x.a and Fraction(xs[gamma - 1]) > (
             x.k - gamma + bg - _half(x.n)
         )
     else:
@@ -276,7 +304,7 @@ def classify_og(x: OgIndex) -> RigidityReport:
         method_agreement=class_rigid == (cond1 and cond2),
         warnings=tuple(warnings),
         z=z_counts(x),
-        x=x_counts(x),
+        x=xs,
     )
 
 
@@ -299,14 +327,17 @@ class _DiagramMemo:
     share a memo across threads and a generator cannot be advanced from two
     threads at once.
 
-    Each diagram has one class slot, filled by ``class_at`` the first time a
-    scan needs that diagram's class.  A failed expansion leaves its slot
-    empty, so the next scan expands the diagram again and raises afresh.
+    Each diagram's dimension is stored in ``_dims`` when the diagram is
+    enumerated.  Each diagram has one class slot, filled by ``class_at`` the
+    first time a scan needs that diagram's class.  A failed expansion leaves
+    its slot empty, so the next scan expands the diagram again and raises
+    afresh.
     """
 
     def __init__(self, k: int, n: int):
         self._k, self._n = k, n
         self._items: list = []
+        self._dims: list = []
         self._classes: list = []
         self._source = enumerate_diagrams(k, n)
         self._exhausted = False
@@ -330,7 +361,8 @@ class _DiagramMemo:
                     )
                     raise
                 else:
-                    # the slot first: a reader that sees item i sees its slot
+                    # the slots first: a reader that sees item i sees them
+                    self._dims.append(diagram_dimension(D))
                     self._classes.append(None)
                     self._items.append(D)
             return len(self._items) > i
@@ -369,14 +401,19 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
     """Search for a restriction variety showing the position is not rigid.
 
     Scans admissible diagrams with k parts in ambient n, in canonical order,
-    keeping those that omit the asserted flag element; the first whose
-    expansion is exactly 1 * x wins.  Returns None when the exhaustive scan
-    finds nothing; raises SearchBudgetExceeded past the cap (argument, else
-    the SRK_SEARCH_BUDGET environment variable, else 100000 diagrams) and
-    ValidationError when SRK_SEARCH_BUDGET is not an integer or the budget
-    is negative.
-    The admissible diagrams of (k, n), and each class a scan has expanded,
-    are kept for the life of the process.
+    keeping those of the class's dimension that omit the asserted flag
+    element; the first whose expansion is exactly 1 * x wins.  Every term of
+    a diagram's expansion has the diagram's dimension, so a candidate of
+    another dimension is skipped before expansion and an engine error in
+    its expansion cannot abort the scan.  An engine error in a kept
+    candidate's expansion still does; no error is caught.  Every diagram
+    read counts against the budget, skipped or not.  Returns None when the
+    exhaustive scan finds nothing; raises SearchBudgetExceeded past the cap
+    (argument, else the SRK_SEARCH_BUDGET environment variable, else 100000
+    diagrams) and ValidationError when SRK_SEARCH_BUDGET is not an integer
+    or the budget is negative.
+    The admissible diagrams of (k, n) with their dimensions, and each class
+    a scan has expanded, are kept for the life of the process.
     """
     kind, idx = position
     if kind not in ("a", "b"):
@@ -399,11 +436,13 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
         # the boundary condition is really the primed bracket of the rewrite
         kind, idx = "a", cx.s
     target = ClassSum.single(cx)
+    dim = og_dimension(cx)
     memo = _admissible_diagrams(x.k, x.n)
+    dims = memo._dims
     for i, D in enumerate(memo):
         if i >= budget:
             raise SearchBudgetExceeded(f"witness search passed {budget} diagrams")
-        if not _omits_assertion(D, cx, kind, idx):
+        if dims[i] != dim or not _omits_assertion(D, cx, kind, idx):
             continue
         if memo.class_at(i) == target:
             return D

@@ -15,7 +15,9 @@ from srk import (
     enumerate_gr,
     enumerate_og,
     expand,
+    find_nonrigid_witness,
     print_diagram,
+    pushforward,
     read_catalog,
     validate_gr,
     validate_og,
@@ -161,6 +163,17 @@ def test_cli_expand_ambient_mismatch_is_validation_error():
 def test_cli_pushforward():
     out = run_cli("pushforward", "--k", "2", "--n", "6", "--a", "-", "--b", "0,1")
     assert out.returncode == 0 and "4σ_{3,5}" in out.stdout
+
+
+def test_cli_pushforward_prime():
+    primed = run_cli("pushforward", "--k", "2", "--n", "8", "--a", "2,4", "--prime")
+    assert primed.returncode == 0 and primed.stderr == ""
+    x = validate_og(2, 8, [2, 4], [], prime=True)
+    assert primed.stdout == f"i_*({x}) = {pushforward(x)}\n"
+    assert primed.stdout.startswith("i_*(σ_{2,4'}) = ")
+    misplaced = run_cli("pushforward", "--k", "2", "--n", "9", "--a", "2,4", "--prime")
+    assert misplaced.returncode == 2 and "Traceback" not in misplaced.stderr
+    assert misplaced.stderr.startswith("error: prime marker needs n even")
 
 
 def test_read_catalog_missing_path_is_catalog_io_error(tmp_path):
@@ -333,6 +346,23 @@ def test_cli_witness_found_and_none():
     assert none.returncode == 0 and none.stdout.strip() == "none"
 
 
+def test_cli_witness_prime():
+    # σ_{2,4'} in OG(2,8): an MT-1 position with no restriction-variety witness
+    x = validate_og(2, 8, [2, 4], [], prime=True)
+    assert find_nonrigid_witness(x, ("a", 1)) is None
+    out = run_cli(
+        "witness", "--k", "2", "--n", "8", "--a", "2,4", "--b", "-",
+        "--position", "a:1", "--prime",
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "none\n", "")
+    misplaced = run_cli(
+        "witness", "--k", "2", "--n", "9", "--a", "2", "--b", "3",
+        "--position", "b:1", "--prime",
+    )
+    assert misplaced.returncode == 2 and "Traceback" not in misplaced.stderr
+    assert misplaced.stderr.startswith("error: prime marker needs n even")
+
+
 def test_cli_witness_budget_exit_code():
     out = run_cli(
         "witness", "--k", "2", "--n", "9", "--a", "2", "--b", "3",
@@ -366,8 +396,8 @@ def test_cli_witness_budget_exit_code():
 def test_cli_engine_error_exit_code_for_witness():
     # the scan reaches the out-of-family diagram 244000}0}0}0}00
     out = run_cli(
-        "witness", "--k", "4", "--n", "11", "--a", "-", "--b", "0,1,2,4",
-        "--position", "b:4",
+        "witness", "--k", "4", "--n", "11", "--a", "1", "--b", "1,3,4",
+        "--position", "b:2",
     )
     assert out.returncode == 4 and out.stdout == ""
     assert out.stderr.startswith("error: 244000}0}0}0}00 fails")

@@ -15,10 +15,12 @@ from srk import (
     QuadricDiagram,
     canonical_index,
     classify_og,
+    diagram_dimension,
     enumerate_diagrams,
     enumerate_og,
     expand,
     find_nonrigid_witness,
+    og_dimension,
     og_rigid_a,
     og_rigid_b,
     og_rigid_class,
@@ -97,6 +99,24 @@ def test_classify_report_shape():
     assert js["space"] == "OG" and js["z"] == [0, 1] and js["x"] == [2]
     rep2 = classify_og(validate_og(3, 7, [2, 3], [0]))
     assert "NO-ESSENTIAL-B" in rep2.warnings and rep2.class_rigid
+
+
+def test_classify_derives_per_index_data_once(monkeypatch):
+    calls = {"og_essential": 0, "x_counts": 0}
+    for name in calls:
+        real = getattr(rigidity, name)
+
+        def counting(x, name=name, real=real):
+            calls[name] += 1
+            return real(x)
+
+        monkeypatch.setattr(rigidity, name, counting)
+    # four positions; a_1 = b_2 = 2, so verdicts on both sides read x_2
+    x = validate_og(4, 11, [2, 4], [0, 2])
+    rep = classify_og(x)
+    assert calls == {"og_essential": 1, "x_counts": 1}
+    assert rep.a_verdicts == tuple(og_rigid_a(x, i) for i in (1, 2))
+    assert rep.b_verdicts == tuple(og_rigid_b(x, j) for j in (1, 2))
 
 
 def test_witness_found_for_small_ambient_counterexample():
@@ -300,6 +320,7 @@ def test_class_slots_shared_by_four_threads(monkeypatch):
     want = [outcome for _, outcome in answers]
     assert results == [want] * 4
     assert len(memo._classes) == len(memo._items)
+    assert memo._dims == [diagram_dimension(D) for D in memo._items]
     stored = [(D, c) for D, c in zip(memo._items, memo._classes) if c is not None]
     assert stored and all(c == expand(D) for D, c in stored)
 
@@ -315,9 +336,10 @@ def test_repeated_witness_query_expands_nothing(monkeypatch):
 
 
 def test_second_query_expands_only_diagrams_the_first_did_not(monkeypatch):
-    seen = _counting_expand(monkeypatch, 2, 9)
-    first = (validate_og(2, 9, [], [1, 3]), ("b", 1))
-    second = (validate_og(2, 9, [4], [1]), ("b", 1))
+    # OG(3, 9): no two queries of one dimension in OG(2, 9) share expansions
+    seen = _counting_expand(monkeypatch, 3, 9)
+    first = (validate_og(3, 9, [], [1, 2, 3]), ("b", 1))
+    second = (validate_og(3, 9, [4], [0, 2]), ("b", 2))
     assert find_nonrigid_witness(*first) is not None
     reached = set(seen)
     seen.clear()
@@ -325,19 +347,39 @@ def test_second_query_expands_only_diagrams_the_first_did_not(monkeypatch):
     count, want = _reference_scan(*second)
     assert witness == want
     x, (kind, idx) = second
+    cx = canonical_index(x)
     needed = [
-        D for D in list(enumerate_diagrams(2, 9))[:count]
-        if rigidity._omits_assertion(D, canonical_index(x), kind, idx)
+        D for D in list(enumerate_diagrams(3, 9))[:count]
+        if diagram_dimension(D) == og_dimension(cx)
+        and rigidity._omits_assertion(D, cx, kind, idx)
     ]
     assert seen == [D for D in needed if D not in reached]
     assert seen and len(seen) < len(needed)
+
+
+def test_witness_query_expands_only_diagrams_of_its_dimension(monkeypatch):
+    # every term of an expansion has the diagram's dimension, so a candidate
+    # of another dimension is never expanded
+    seen = _counting_expand(monkeypatch, 3, 9)
+    queries = expanded = 0
+    for x in enumerate_og(3, 9):
+        rep = classify_og(x)
+        for kind, verdicts in (("a", rep.a_verdicts), ("b", rep.b_verdicts)):
+            for i, v in enumerate(verdicts, start=1):
+                if v.kind == "not_rigid":
+                    find_nonrigid_witness(x, (kind, i))
+                    assert {diagram_dimension(D) for D in seen} <= {og_dimension(x)}
+                    queries += 1
+                    expanded += len(seen)
+                    seen.clear()
+    assert queries > 10 and expanded > queries
 
 
 def test_failing_witness_query_expands_its_diagram_each_time(monkeypatch):
     # failures are not stored: the diagram whose expansion left the
     # admissible family is expanded again and raises afresh
     seen = _counting_expand(monkeypatch, 4, 11)
-    x, pos = validate_og(4, 11, [], [0, 1, 2, 4]), ("b", 4)
+    x, pos = validate_og(4, 11, [1], [1, 3, 4]), ("b", 2)
     errors, expanded = [], []
     for _ in range(2):
         with pytest.raises(SrkError) as err:
