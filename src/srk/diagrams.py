@@ -26,6 +26,8 @@ quadric chain while generating it: a corank that breaks flag existence, (3)
 or one of (A1)-(A3) given the chain placed so far is skipped with its whole
 subtree, so every diagram it yields is admissible by construction and is not
 checked again there; the tests assert ``check_conditions`` on every one.
+Asked for one dimension, it also skips every chain whose diagram cannot have
+it, so the diagrams of one dimension cost less than a walk of the space.
 Besides the enumerator, admissibility is decided only by the degeneration
 engine: at entry, for a root, and in its repair loops, for a derived diagram.
 
@@ -436,7 +438,26 @@ def parse_diagram(text: str) -> QuadricDiagram:
 
 # --- enumeration -----------------------------------------------------------
 
-def _quadric_profiles(q, m, dims, k):
+def _sized_combinations(lo, hi, q, smin, smax):
+    """``combinations(range(lo, hi + 1), q)``, q >= 1, restricted to the
+    tuples whose sum lies in smin..smax, in the same order.  A prefix is
+    extended only while the least and the greatest sums of its completions
+    straddle that range; every sum between those two is reached, so no
+    branch comes up empty."""
+    if q == 1:
+        for v in range(max(lo, smin), min(hi, smax) + 1):
+            yield (v,)
+        return
+    for v in range(lo, hi - q + 2):
+        if q * v + q * (q - 1) // 2 > smax:  # v, v + 1, ..., v + q - 1
+            return
+        if v + (q - 1) * hi - (q - 1) * (q - 2) // 2 < smin:  # v, then the top
+            continue
+        for rest in _sized_combinations(v + 1, hi, q - 1, smin - v, smax - v):
+            yield (v,) + rest
+
+
+def _quadric_profiles(q, m, dims, k, total=None):
     """All (d, r) chains that can sit under the brackets ``dims`` in a
     k-part diagram: d strictly decreasing >= the largest bracket, r
     nondecreasing, r_j <= d_j and d_j + r_j <= m.  Deterministic order.
@@ -457,20 +478,45 @@ def _quadric_profiles(q, m, dims, k):
     r_{t-1} = r_t > r_1, the braces are adjacent, d_{t-1} - d_t = 1; after
     that pair each step keeps r_j - r_{j-1} = d_{j-1} - d_j.
 
+    With ``total``, only the chains with sum_j (d_j + x_j) = total are
+    built, x_j = #{i : n_i <= r_j}.  Each x_j lies in 0..s, so only d-sets
+    of sum total - qs..total are generated.  The x_j never decrease along
+    the chain, and x_t <= #{i : n_i <= min(m - d_t, d_q - 3)} since r_t <=
+    m - d_t and r_t <= r_q <= d_q - 3; a corank whose x_j leaves the rest of
+    the chain unable to meet the total is skipped with its subtree.
+
     Every chain yielded passes (1)-(3) and (A1)-(A3).  The skipped coranks
     would all fail later, so the survivors come in the same order as in an
     unpruned loop.
     """
     if q == 0:
-        yield ()
+        if total is None or total == 0:
+            yield ()
         return
     top = dims[-1] if dims else 0
-    for dset in combinations(range(max(top, 1), m + 1), q):
+    # 2 n_s - d_q <= r_q <= d_q - 3 (flag existence, (A1)), so d_q >= n_s + 2
+    # and d_q >= 3; a d-set with a smaller d_q yields no chain
+    lo = max(top + 2, 3)
+    if total is None:
+        dsets = combinations(range(lo, m + 1), q)
+    else:
+        dsets = _sized_combinations(lo, m, q, total - q * len(dims), total)
+    need = room = None
+    x_at = [bisect_right(dims, v) for v in range(m + 1)]  # x_j for r_j = v
+    for dset in dsets:
         ds = tuple(reversed(dset))  # d_1 > ... > d_q
+        if total is not None:
+            need = total - sum(dset)  # what sum_j x_j must come to
+            # room[j]: the most that x_{j+1}, ..., x_q can add up to
+            room = [0] * (q + 1)
+            for t in range(q - 1, -1, -1):
+                room[t] = room[t + 1] + x_at[min(m - ds[t], dset[0] - 3)]
+            if room[0] < need:
+                continue
 
-        def fill(j, prev_r, acc, second, tail):
+        def fill(j, prev_r, acc, second, tail, xsum):
             # second: the chain so far passes the second clause of (3);
-            # tail: it holds an equal pair above r_1
+            # tail: it holds an equal pair above r_1; xsum: sum of its x's
             if j == q:
                 yield tuple(acc)
                 return
@@ -479,8 +525,14 @@ def _quadric_profiles(q, m, dims, k):
             if j == q - 1:
                 cap = min(cap, d - 3)  # (A1)
             for r in range(max(prev_r, 2 * top - d), cap + 1):
+                x = x_at[r]
+                if need is not None:
+                    if xsum + (q - j) * x > need:
+                        break  # x only grows with r
+                    if xsum + x + room[j + 1] < need:
+                        continue
                 # (A2), then (A3) for the quadric numbered j + 1
-                if r + 1 in dims or bisect_right(dims, r) < k - j - (d - r) // 2:
+                if r + 1 in dims or x < k - j - (d - r) // 2:
                     continue
                 ok, pair = second, tail
                 if j and ok:
@@ -496,15 +548,16 @@ def _quadric_profiles(q, m, dims, k):
                 if not ok and not (r == acc[0] and r in dims):
                     continue
                 acc.append(r)
-                yield from fill(j + 1, r, acc, ok, pair)
+                yield from fill(j + 1, r, acc, ok, pair, xsum + x)
                 acc.pop()
 
-        for rs in fill(0, 0, [], True, False):
+        for rs in fill(0, 0, [], True, False, 0):
             yield tuple(Quadric(d, r) for d, r in zip(ds, rs))
 
 
-def enumerate_diagrams(k: int, m: int):
-    """Every admissible diagram with k parts in ambient m, in canonical order.
+def enumerate_diagrams(k: int, m: int, dim: int | None = None):
+    """Every admissible diagram with k parts in ambient m, in canonical order;
+    with ``dim``, only those of ``diagram_dimension`` dim, in the same order.
 
     Brackets range over isotropic dimensions (<= m/2, primed variants when a
     bracket sits exactly at m/2), quadrics over chains with d_j + r_j <= m,
@@ -512,6 +565,11 @@ def enumerate_diagrams(k: int, m: int):
     builds a chain that breaks flag existence, (3) or (A1)-(A3), so every
     diagram yielded passes (1)-(3) and (A1)-(A3) by construction and none is
     checked here; the tests assert ``check_conditions`` on every one.
+
+    The dimension is not computed per diagram.  Its closed form fixes
+    sum_j (d_j + x_j) = dim - sum_i n_i + s(s+1)/2 + 2sq + q(q+1) for each
+    bracket set, and ``_quadric_profiles`` builds only the chains that meet
+    that total, so a dimension with no diagrams yields nothing.
     Raises ``OutOfBounds`` when k < 1 or m < 1.
     """
     if k < 1 or m < 1:
@@ -520,11 +578,14 @@ def enumerate_diagrams(k: int, m: int):
     for s in range(0, k + 1):
         q = k - s
         for dims in combinations(range(1, half + 1), s):
+            total = None
+            if dim is not None:
+                total = dim - sum(dims) + s * (s + 1) // 2 + 2 * s * q + q * (q + 1)
             variants = [tuple(Bracket(v) for v in dims)]
             if dims and 2 * dims[-1] == m:
                 variants.append(
                     tuple(Bracket(v) for v in dims[:-1]) + (Bracket(dims[-1], True),)
                 )
             for brackets in variants:
-                for quadrics in _quadric_profiles(q, m, dims, k):
+                for quadrics in _quadric_profiles(q, m, dims, k, total):
                     yield QuadricDiagram(m, brackets, quadrics)

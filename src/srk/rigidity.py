@@ -16,10 +16,11 @@ deformations contradicting the arithmetic test, and those come back as
 diagram whose expansion is exactly the class but which omits the flag element
 the queried position asserts.  A diagram's dimension is read off the diagram
 (``diagram_dimension``) and every term of its expansion has that dimension,
-so a candidate of another dimension than the class is skipped unexpanded: an
-engine error in its expansion can no longer abort the scan.  A candidate of
-the class's dimension is expanded, and its engine error still aborts the
-scan; no error is caught.
+so only the diagrams of the class's dimension are candidates, and only they
+are enumerated (``enumerate_diagrams(k, n, dim)``): a diagram of another
+dimension is neither built nor expanded, and the search budget counts the
+diagrams of the class's dimension the scan reads.  A candidate's engine
+error aborts the scan; no error is caught.
 """
 
 from __future__ import annotations
@@ -33,12 +34,7 @@ from itertools import islice
 
 from .classsum import ClassSum
 from .degeneration import expand
-from .diagrams import (
-    QuadricDiagram,
-    diagram_dimension,
-    enumerate_diagrams,
-    print_diagram,
-)
+from .diagrams import QuadricDiagram, enumerate_diagrams, print_diagram
 from .errors import (
     EngineInvariantError,
     PositionOutOfRange,
@@ -318,33 +314,31 @@ def _omits_assertion(D: QuadricDiagram, cx: OgIndex, kind: str, idx: int) -> boo
 
 
 class _DiagramMemo:
-    """The admissible diagrams of OG(k, n) in canonical order, enumerated
-    lazily: the list grows only as far as some scan has read.
+    """The admissible diagrams of OG(k, n) of one dimension, in canonical
+    order, enumerated lazily: the list grows only as far as some scan has
+    read.
 
     A scan that stops early (a witness found, a budget hit, an engine error)
     leaves the rest unenumerated; enumerating eagerly would make such a scan
-    pay for every diagram of the space.  The fill is locked because scans may
-    share a memo across threads and a generator cannot be advanced from two
-    threads at once.
+    pay for every diagram of the dimension.  The fill is locked because scans
+    may share a memo across threads and a generator cannot be advanced from
+    two threads at once.
 
-    Each diagram's dimension is stored in ``_dims`` when the diagram is
-    enumerated.  Each diagram has one class slot, filled by ``class_at`` the
-    first time a scan needs that diagram's class.  A failed expansion leaves
-    its slot empty, so the next scan expands the diagram again and raises
-    afresh.
+    Each diagram has one class slot, filled by ``class_at`` the first time a
+    scan needs that diagram's class.  A failed expansion leaves its slot
+    empty, so the next scan expands the diagram again and raises afresh.
     """
 
-    def __init__(self, k: int, n: int):
-        self._k, self._n = k, n
+    def __init__(self, k: int, n: int, dim: int):
+        self._k, self._n, self._dim = k, n, dim
         self._items: list = []
-        self._dims: list = []
         self._classes: list = []
-        self._source = enumerate_diagrams(k, n)
+        self._source = enumerate_diagrams(k, n, dim)
         self._exhausted = False
         self._lock = threading.Lock()
 
     def _fill_to(self, i: int) -> bool:
-        """Enumerate up to item i; False when the space has fewer items."""
+        """Enumerate up to item i; False when the dimension has fewer items."""
         with self._lock:
             while len(self._items) <= i and not self._exhausted:
                 try:
@@ -355,14 +349,13 @@ class _DiagramMemo:
                     # an interrupted generator is finished for good; resume
                     # from a fresh one so later scans still see every diagram
                     self._source = islice(
-                        enumerate_diagrams(self._k, self._n),
+                        enumerate_diagrams(self._k, self._n, self._dim),
                         len(self._items),
                         None,
                     )
                     raise
                 else:
-                    # the slots first: a reader that sees item i sees them
-                    self._dims.append(diagram_dimension(D))
+                    # the slot first: a reader that sees item i sees it
                     self._classes.append(None)
                     self._items.append(D)
             return len(self._items) > i
@@ -393,31 +386,39 @@ class _DiagramMemo:
 
 
 @lru_cache(maxsize=None)
-def _admissible_diagrams(k: int, n: int) -> _DiagramMemo:
-    return _DiagramMemo(k, n)
+def _admissible_diagrams(k: int, n: int, dim: int) -> _DiagramMemo:
+    return _DiagramMemo(k, n, dim)
 
 
 def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
     """Search for a restriction variety showing the position is not rigid.
 
-    Scans admissible diagrams with k parts in ambient n, in canonical order,
-    keeping those of the class's dimension that omit the asserted flag
-    element; the first whose expansion is exactly 1 * x wins.  Every term of
-    a diagram's expansion has the diagram's dimension, so a candidate of
-    another dimension is skipped before expansion and an engine error in
-    its expansion cannot abort the scan.  An engine error in a kept
-    candidate's expansion still does; no error is caught.  Every diagram
-    read counts against the budget, skipped or not.  Returns None when the
-    exhaustive scan finds nothing; raises SearchBudgetExceeded past the cap
-    (argument, else the SRK_SEARCH_BUDGET environment variable, else 100000
-    diagrams) and ValidationError when SRK_SEARCH_BUDGET is not an integer
-    or the budget is negative.
-    The admissible diagrams of (k, n) with their dimensions, and each class
-    a scan has expanded, are kept for the life of the process.
+    Scans the admissible diagrams with k parts in ambient n whose dimension
+    is the class's, in canonical order, keeping those that omit the asserted
+    flag element; the first whose expansion is exactly 1 * x wins.  Every
+    term of a diagram's expansion has the diagram's dimension, so no diagram
+    of another dimension can be a witness, and none is enumerated.  An
+    engine error in a kept candidate's expansion aborts the scan; no error
+    is caught.  Every diagram of the class's dimension the scan reads counts
+    against the budget, kept or not.  Returns None when the exhaustive scan
+    finds nothing; raises SearchBudgetExceeded past the cap (argument, else
+    the SRK_SEARCH_BUDGET environment variable, else 100000 diagrams),
+    PositionOutOfRange unless the position is a pair of "a" or "b" and an
+    int in range, and ValidationError unless the budget is a nonnegative
+    int (SRK_SEARCH_BUDGET an integer).
+    The admissible diagrams of each (k, n, dimension) a scan has read, and
+    each class a scan has expanded, are kept for the life of the process.
     """
-    kind, idx = position
+    try:
+        kind, idx = position
+    except (TypeError, ValueError):
+        raise PositionOutOfRange(
+            f"position must be a (kind, index) pair, got {position!r}"
+        ) from None
     if kind not in ("a", "b"):
         raise PositionOutOfRange(f"position kind must be 'a' or 'b', got {kind!r}")
+    if not isinstance(idx, int) or isinstance(idx, bool):
+        raise PositionOutOfRange(f"position index must be an int, got {idx!r}")
     limit = len(x.a) if kind == "a" else len(x.b)
     if not (1 <= idx <= limit):
         raise PositionOutOfRange(f"{kind}-position {idx} not in 1..{limit}")
@@ -429,6 +430,8 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
             raise ValidationError(
                 f"SRK_SEARCH_BUDGET must be an integer, got {raw!r}"
             ) from None
+    elif not isinstance(budget, int) or isinstance(budget, bool):
+        raise ValidationError(f"witness search budget must be an int, got {budget!r}")
     if budget < 0:
         raise ValidationError(f"witness search budget must be nonnegative, got {budget}")
     cx = canonical_index(x)
@@ -436,14 +439,10 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
         # the boundary condition is really the primed bracket of the rewrite
         kind, idx = "a", cx.s
     target = ClassSum.single(cx)
-    dim = og_dimension(cx)
-    memo = _admissible_diagrams(x.k, x.n)
-    dims = memo._dims
+    memo = _admissible_diagrams(x.k, x.n, og_dimension(cx))
     for i, D in enumerate(memo):
         if i >= budget:
             raise SearchBudgetExceeded(f"witness search passed {budget} diagrams")
-        if dims[i] != dim or not _omits_assertion(D, cx, kind, idx):
-            continue
-        if memo.class_at(i) == target:
+        if _omits_assertion(D, cx, kind, idx) and memo.class_at(i) == target:
             return D
     return None

@@ -10,6 +10,7 @@ from srk import (
     Quadric,
     QuadricDiagram,
     check_conditions,
+    diagram_dimension,
     digits,
     enumerate_diagrams,
     parse_diagram,
@@ -234,6 +235,22 @@ def test_pruned_enumeration_matches_unpruned_reference():
         for d in got:
             _assert_shape(d)
             assert check_conditions(d).ok, print_diagram(d)
+
+
+def test_enumeration_of_one_dimension_is_the_filtered_enumeration():
+    """Same diagrams in the same order as the whole enumeration filtered by
+    ``diagram_dimension``; a dimension with no diagrams, one below the least
+    and one above the greatest included, yields nothing."""
+    count = 0
+    for k in range(1, 5):
+        for m in range(1, 12):
+            full = list(enumerate_diagrams(k, m))
+            dimensions = [diagram_dimension(d) for d in full]
+            for dim in range(-1, max(dimensions, default=-1) + 2):
+                got = list(enumerate_diagrams(k, m, dim))
+                assert got == [d for d, e in zip(full, dimensions) if e == dim], (k, m, dim)
+                count += len(got)
+    assert count == 3784
 
 
 @pytest.mark.parametrize("k,m", [(0, 5), (3, 0), (-1, 4)])

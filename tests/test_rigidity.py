@@ -3,6 +3,7 @@
 import functools
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 
@@ -166,6 +167,12 @@ def test_witness_position_validation():
         find_nonrigid_witness(x, ("a", 2))
     with pytest.raises(PositionOutOfRange):
         find_nonrigid_witness(x, ("c", 1))
+    for position in (("b", "1"), ("b", 1.0), ("b", True), ("b",), ("b", 1, 1), 7):
+        with pytest.raises(PositionOutOfRange):
+            find_nonrigid_witness(x, position)
+    for budget in ("5", 5.0, True):
+        with pytest.raises(ValidationError, match="budget must be an int"):
+            find_nonrigid_witness(x, ("b", 1), budget=budget)
 
 
 def test_witness_for_rewritten_boundary_position():
@@ -177,18 +184,31 @@ def test_witness_for_rewritten_boundary_position():
 # --- the memoized scan against a plain one ----------------------------------
 
 
-def _reference_scan(x, position):
-    """The witness scan without memos: a fresh unpruned reference enumeration
-    per query and the traced expansion, which bypasses the expansion cache.
-    Returns (1-based scan count, witness) or (None, None)."""
+@functools.cache
+def _unpruned(k, n):
+    return tuple(_unpruned_diagrams(k, n))
+
+
+def _reference_scan(x, position, every_dimension=True):
+    """The witness scan without memos: the unpruned reference enumeration,
+    which knows no dimensions, and the traced expansion, which bypasses the
+    expansion cache.  A candidate of another dimension than the class is
+    expanded too unless ``every_dimension`` is false.  Returns (count,
+    witness), count being the witness's 1-based place among the diagrams of
+    the class's dimension (the unit of the budget), or (None, None)."""
     kind, idx = position
     cx = canonical_index(x)
     if needs_rewrite(x) and kind == "b" and idx == len(x.b):
         kind, idx = "a", cx.s
     target = ClassSum.single(cx)
-    for count, D in enumerate(_unpruned_diagrams(x.k, x.n), start=1):
-        if rigidity._omits_assertion(D, cx, kind, idx) and expand(D, trace=True)[0] == target:
-            return count, D
+    dim = og_dimension(cx)
+    count = 0
+    for D in _unpruned(x.k, x.n):
+        same = diagram_dimension(D) == dim
+        count += same
+        if (same or every_dimension) and rigidity._omits_assertion(D, cx, kind, idx):
+            if expand(D, trace=True)[0] == target:
+                return count, D
     return None, None
 
 
@@ -200,7 +220,7 @@ def _outcome(fn, *args):
 
 
 @functools.cache
-def _reference_answers(k, n):
+def _reference_answers(k, n, every_dimension=True):
     """((index, position), reference outcome) for every not_rigid position."""
     out = []
     for x in enumerate_og(k, n):
@@ -208,8 +228,9 @@ def _reference_answers(k, n):
         for kind, verdicts in (("a", rep.a_verdicts), ("b", rep.b_verdicts)):
             for i, v in enumerate(verdicts, start=1):
                 if v.kind == "not_rigid":
-                    want = _outcome(lambda: _reference_scan(x, (kind, i))[1])
-                    out.append(((x, (kind, i)), want))
+                    pos = (kind, i)
+                    want = _outcome(lambda: _reference_scan(x, pos, every_dimension)[1])
+                    out.append(((x, pos), want))
     return tuple(out)
 
 
@@ -219,6 +240,23 @@ def test_memoized_witness_scan_matches_reference(k, n):
     assert answers
     for (x, pos), want in answers:
         assert _outcome(find_nonrigid_witness, x, pos) == want, (x, pos)
+
+
+@pytest.mark.parametrize(
+    "k,n,tally",
+    [(4, 10, {"none": 6, "raised": 2}), (4, 11, {"witness": 18, "none": 3, "raised": 10})],
+)
+def test_witness_outcomes_of_four_part_spaces(k, n, tally):
+    # here an expansion may leave the admissible family and raise, so the
+    # reference too expands only candidates of the class's dimension
+    answers = _reference_answers(k, n, every_dimension=False)
+    seen = Counter()
+    for (x, pos), want in answers:
+        got = _outcome(find_nonrigid_witness, x, pos)
+        assert got == want, (x, pos)
+        status, value = got
+        seen["raised" if status == "raised" else "none" if value is None else "witness"] += 1
+    assert seen == tally
 
 
 def test_budget_counts_the_same_on_a_warm_memo():
@@ -232,8 +270,9 @@ def test_budget_counts_the_same_on_a_warm_memo():
 
 
 def test_diagram_memo_resumes_where_a_scan_stopped():
-    full = list(enumerate_diagrams(2, 8))
-    memo = rigidity._DiagramMemo(2, 8)
+    full = list(enumerate_diagrams(2, 8, 5))
+    assert len(full) > 5
+    memo = rigidity._DiagramMemo(2, 8, 5)
     assert list(islice(memo, 5)) == full[:5]
     inner = iter(memo)
     assert list(islice(inner, 3)) == full[:3]
@@ -243,8 +282,12 @@ def test_diagram_memo_resumes_where_a_scan_stopped():
 
 
 def test_diagram_memo_survives_an_interrupted_fill():
-    full = list(enumerate_diagrams(2, 8))
-    memo = rigidity._DiagramMemo(2, 8)
+    # the resumed fill must enumerate the memo's own dimension: the rest of
+    # the whole space differs from the rest of the dimension
+    dim = 5
+    full = list(enumerate_diagrams(2, 8, dim))
+    assert list(enumerate_diagrams(2, 8))[4 : len(full)] != full[4:]
+    memo = rigidity._DiagramMemo(2, 8, dim)
 
     def interrupted():
         yield from full[:4]
@@ -256,10 +299,24 @@ def test_diagram_memo_survives_an_interrupted_fill():
     assert list(memo) == full
 
 
+def _fresh_memos(monkeypatch):
+    """Give every (k, n, dimension) a fresh memo, one that every thread
+    shares; returns the memos by key."""
+    memos = {}
+
+    def memo_for(k, n, dim):
+        key = (k, n, dim)
+        if key not in memos:
+            memos.setdefault(key, rigidity._DiagramMemo(k, n, dim))
+        return memos[key]
+
+    monkeypatch.setattr(rigidity, "_admissible_diagrams", memo_for)
+    return memos
+
+
 def test_witness_scan_shared_by_two_threads(monkeypatch):
     answers = _reference_answers(2, 9)
-    memo = rigidity._DiagramMemo(2, 9)
-    monkeypatch.setattr(rigidity, "_admissible_diagrams", lambda k, n: memo)
+    memos = _fresh_memos(monkeypatch)
     start = threading.Barrier(2, timeout=30)
 
     def sweep():
@@ -276,16 +333,18 @@ def test_witness_scan_shared_by_two_threads(monkeypatch):
         sys.setswitchinterval(old)
     want = [outcome for _, outcome in answers]
     assert results == [want, want]
-    assert memo._items == list(enumerate_diagrams(2, 9))[: len(memo._items)]
+    assert memos
+    for (k, n, dim), memo in memos.items():
+        assert memo._items == list(enumerate_diagrams(k, n, dim))[: len(memo._items)]
 
 
 # --- each diagram's class is expanded once per process -----------------------
 
 
-def _counting_expand(monkeypatch, k, n):
-    """Give (k, n) a fresh memo and record every diagram the scan expands."""
-    memo = rigidity._DiagramMemo(k, n)
-    monkeypatch.setattr(rigidity, "_admissible_diagrams", lambda k_, n_: memo)
+def _counting_expand(monkeypatch):
+    """Give every (k, n, dimension) a fresh memo and record every diagram
+    the scan expands."""
+    _fresh_memos(monkeypatch)
     seen = []
     real = rigidity.expand
 
@@ -301,8 +360,7 @@ def test_class_slots_shared_by_four_threads(monkeypatch):
     # four threads sweep one fresh memo: two of them may both expand a
     # diagram, but every stored class must be that diagram's own
     answers = _reference_answers(2, 9)
-    memo = rigidity._DiagramMemo(2, 9)
-    monkeypatch.setattr(rigidity, "_admissible_diagrams", lambda k, n: memo)
+    memos = _fresh_memos(monkeypatch)
     start = threading.Barrier(4, timeout=30)
 
     def sweep():
@@ -319,14 +377,16 @@ def test_class_slots_shared_by_four_threads(monkeypatch):
         sys.setswitchinterval(old)
     want = [outcome for _, outcome in answers]
     assert results == [want] * 4
-    assert len(memo._classes) == len(memo._items)
-    assert memo._dims == [diagram_dimension(D) for D in memo._items]
-    stored = [(D, c) for D, c in zip(memo._items, memo._classes) if c is not None]
+    stored = []
+    for (_, _, dim), memo in memos.items():
+        assert len(memo._classes) == len(memo._items)
+        assert all(diagram_dimension(D) == dim for D in memo._items)
+        stored += [(D, c) for D, c in zip(memo._items, memo._classes) if c is not None]
     assert stored and all(c == expand(D) for D, c in stored)
 
 
 def test_repeated_witness_query_expands_nothing(monkeypatch):
-    seen = _counting_expand(monkeypatch, 2, 9)
+    seen = _counting_expand(monkeypatch)
     x, pos = validate_og(2, 9, [2], [3]), ("b", 1)
     witness = find_nonrigid_witness(x, pos)
     assert witness is not None and seen
@@ -337,7 +397,7 @@ def test_repeated_witness_query_expands_nothing(monkeypatch):
 
 def test_second_query_expands_only_diagrams_the_first_did_not(monkeypatch):
     # OG(3, 9): no two queries of one dimension in OG(2, 9) share expansions
-    seen = _counting_expand(monkeypatch, 3, 9)
+    seen = _counting_expand(monkeypatch)
     first = (validate_og(3, 9, [], [1, 2, 3]), ("b", 1))
     second = (validate_og(3, 9, [4], [0, 2]), ("b", 2))
     assert find_nonrigid_witness(*first) is not None
@@ -349,9 +409,8 @@ def test_second_query_expands_only_diagrams_the_first_did_not(monkeypatch):
     x, (kind, idx) = second
     cx = canonical_index(x)
     needed = [
-        D for D in list(enumerate_diagrams(3, 9))[:count]
-        if diagram_dimension(D) == og_dimension(cx)
-        and rigidity._omits_assertion(D, cx, kind, idx)
+        D for D in list(enumerate_diagrams(3, 9, og_dimension(cx)))[:count]
+        if rigidity._omits_assertion(D, cx, kind, idx)
     ]
     assert seen == [D for D in needed if D not in reached]
     assert seen and len(seen) < len(needed)
@@ -360,7 +419,7 @@ def test_second_query_expands_only_diagrams_the_first_did_not(monkeypatch):
 def test_witness_query_expands_only_diagrams_of_its_dimension(monkeypatch):
     # every term of an expansion has the diagram's dimension, so a candidate
     # of another dimension is never expanded
-    seen = _counting_expand(monkeypatch, 3, 9)
+    seen = _counting_expand(monkeypatch)
     queries = expanded = 0
     for x in enumerate_og(3, 9):
         rep = classify_og(x)
@@ -378,7 +437,7 @@ def test_witness_query_expands_only_diagrams_of_its_dimension(monkeypatch):
 def test_failing_witness_query_expands_its_diagram_each_time(monkeypatch):
     # failures are not stored: the diagram whose expansion left the
     # admissible family is expanded again and raises afresh
-    seen = _counting_expand(monkeypatch, 4, 11)
+    seen = _counting_expand(monkeypatch)
     x, pos = validate_og(4, 11, [1], [1, 3, 4]), ("b", 2)
     errors, expanded = [], []
     for _ in range(2):
