@@ -438,25 +438,6 @@ def parse_diagram(text: str) -> QuadricDiagram:
 
 # --- enumeration -----------------------------------------------------------
 
-def _sized_combinations(lo, hi, q, smin, smax):
-    """``combinations(range(lo, hi + 1), q)``, q >= 1, restricted to the
-    tuples whose sum lies in smin..smax, in the same order.  A prefix is
-    extended only while the least and the greatest sums of its completions
-    straddle that range; every sum between those two is reached, so no
-    branch comes up empty."""
-    if q == 1:
-        for v in range(max(lo, smin), min(hi, smax) + 1):
-            yield (v,)
-        return
-    for v in range(lo, hi - q + 2):
-        if q * v + q * (q - 1) // 2 > smax:  # v, v + 1, ..., v + q - 1
-            return
-        if v + (q - 1) * hi - (q - 1) * (q - 2) // 2 < smin:  # v, then the top
-            continue
-        for rest in _sized_combinations(v + 1, hi, q - 1, smin - v, smax - v):
-            yield (v,) + rest
-
-
 def _quadric_profiles(q, m, dims, k, total=None):
     """All (d, r) chains that can sit under the brackets ``dims`` in a
     k-part diagram: d strictly decreasing >= the largest bracket, r
@@ -479,11 +460,12 @@ def _quadric_profiles(q, m, dims, k, total=None):
     that pair each step keeps r_j - r_{j-1} = d_{j-1} - d_j.
 
     With ``total``, only the chains with sum_j (d_j + x_j) = total are
-    built, x_j = #{i : n_i <= r_j}.  Each x_j lies in 0..s, so only d-sets
-    of sum total - qs..total are generated.  The x_j never decrease along
-    the chain, and x_t <= #{i : n_i <= min(m - d_t, d_q - 3)} since r_t <=
-    m - d_t and r_t <= r_q <= d_q - 3; a corank whose x_j leaves the rest of
-    the chain unable to meet the total is skipped with its subtree.
+    built, x_j = #{i : n_i <= r_j}.  Each x_j lies in 0..s, and since r_t
+    <= m - d_t and r_t <= r_q <= d_q - 3, x_t <= #{i : n_i <= min(m - d_t,
+    d_q - 3)}; a d-set whose sum exceeds the total, or falls short of it by
+    more than qs or than these bounds add up to, is skipped.  The x_j never
+    decrease along the chain, and a corank whose x_j leaves the rest of the
+    chain unable to meet the total is skipped with its subtree.
 
     Every chain yielded passes (1)-(3) and (A1)-(A3).  The skipped coranks
     would all fail later, so the survivors come in the same order as in an
@@ -497,16 +479,14 @@ def _quadric_profiles(q, m, dims, k, total=None):
     # 2 n_s - d_q <= r_q <= d_q - 3 (flag existence, (A1)), so d_q >= n_s + 2
     # and d_q >= 3; a d-set with a smaller d_q yields no chain
     lo = max(top + 2, 3)
-    if total is None:
-        dsets = combinations(range(lo, m + 1), q)
-    else:
-        dsets = _sized_combinations(lo, m, q, total - q * len(dims), total)
     need = room = None
     x_at = [bisect_right(dims, v) for v in range(m + 1)]  # x_j for r_j = v
-    for dset in dsets:
+    for dset in combinations(range(lo, m + 1), q):
         ds = tuple(reversed(dset))  # d_1 > ... > d_q
         if total is not None:
             need = total - sum(dset)  # what sum_j x_j must come to
+            if not 0 <= need <= q * len(dims):  # each x_j lies in 0..s
+                continue
             # room[j]: the most that x_{j+1}, ..., x_q can add up to
             room = [0] * (q + 1)
             for t in range(q - 1, -1, -1):

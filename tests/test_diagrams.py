@@ -253,6 +253,14 @@ def test_enumeration_of_one_dimension_is_the_filtered_enumeration():
     assert count == 3784
 
 
+def test_one_dimension_of_the_readme_example():
+    # the README tour: 5 of OG(2,6)'s 24 admissible diagrams share the
+    # dimension of 00]000}0
+    assert diagram_dimension(parse_diagram("00]000}0")) == 2
+    assert len(list(enumerate_diagrams(2, 6))) == 24
+    assert len(list(enumerate_diagrams(2, 6, 2))) == 5
+
+
 @pytest.mark.parametrize("k,m", [(0, 5), (3, 0), (-1, 4)])
 def test_enumeration_of_an_empty_range_raises(k, m):
     with pytest.raises(OutOfBounds):

@@ -186,16 +186,23 @@ def test_witness_for_rewritten_boundary_position():
 
 @functools.cache
 def _unpruned(k, n):
-    return tuple(_unpruned_diagrams(k, n))
+    """(diagram, its dimension) for the unpruned reference enumeration."""
+    return tuple((D, diagram_dimension(D)) for D in _unpruned_diagrams(k, n))
+
+
+@functools.cache
+def _traced(D):
+    """The traced expansion, which bypasses the library's expansion cache."""
+    return expand(D, trace=True)[0]
 
 
 def _reference_scan(x, position, every_dimension=True):
     """The witness scan without memos: the unpruned reference enumeration,
-    which knows no dimensions, and the traced expansion, which bypasses the
-    expansion cache.  A candidate of another dimension than the class is
-    expanded too unless ``every_dimension`` is false.  Returns (count,
-    witness), count being the witness's 1-based place among the diagrams of
-    the class's dimension (the unit of the budget), or (None, None)."""
+    which knows no dimensions, and the traced expansion.  A candidate of
+    another dimension than the class is expanded too unless
+    ``every_dimension`` is false.  Returns (count, witness), count being the
+    witness's 1-based place among the diagrams of the class's dimension
+    (the unit of the budget), or (None, None)."""
     kind, idx = position
     cx = canonical_index(x)
     if needs_rewrite(x) and kind == "b" and idx == len(x.b):
@@ -203,11 +210,11 @@ def _reference_scan(x, position, every_dimension=True):
     target = ClassSum.single(cx)
     dim = og_dimension(cx)
     count = 0
-    for D in _unpruned(x.k, x.n):
-        same = diagram_dimension(D) == dim
+    for D, d in _unpruned(x.k, x.n):
+        same = d == dim
         count += same
         if (same or every_dimension) and rigidity._omits_assertion(D, cx, kind, idx):
-            if expand(D, trace=True)[0] == target:
+            if _traced(D) == target:
                 return count, D
     return None, None
 
@@ -234,24 +241,27 @@ def _reference_answers(k, n, every_dimension=True):
     return tuple(out)
 
 
-@pytest.mark.parametrize("k,n", [(2, 7), (2, 8), (2, 9), (3, 8)])
-def test_memoized_witness_scan_matches_reference(k, n):
-    answers = _reference_answers(k, n)
-    assert answers
-    for (x, pos), want in answers:
-        assert _outcome(find_nonrigid_witness, x, pos) == want, (x, pos)
+_WITNESS_SPACES = [
+    (2, 7, True, {"witness": 4}),
+    (2, 8, True, {"witness": 4, "none": 2}),
+    (2, 9, True, {"witness": 12, "none": 1}),
+    (3, 8, True, {"none": 2}),
+    # in four-part spaces an expansion may leave the admissible family and
+    # raise, so the reference too expands only candidates of the class's
+    # dimension; OG(4,10) also reads primed brackets
+    (4, 10, False, {"none": 6, "raised": 2}),
+    (4, 11, False, {"witness": 18, "none": 3, "raised": 10}),
+]
 
 
 @pytest.mark.parametrize(
-    "k,n,tally",
-    [(4, 10, {"none": 6, "raised": 2}), (4, 11, {"witness": 18, "none": 3, "raised": 10})],
+    "k,n,every_dimension,tally",
+    _WITNESS_SPACES,
+    ids=[f"{k}-{n}" for k, n, *_ in _WITNESS_SPACES],
 )
-def test_witness_outcomes_of_four_part_spaces(k, n, tally):
-    # here an expansion may leave the admissible family and raise, so the
-    # reference too expands only candidates of the class's dimension
-    answers = _reference_answers(k, n, every_dimension=False)
+def test_memoized_witness_scan_matches_reference(k, n, every_dimension, tally):
     seen = Counter()
-    for (x, pos), want in answers:
+    for (x, pos), want in _reference_answers(k, n, every_dimension):
         got = _outcome(find_nonrigid_witness, x, pos)
         assert got == want, (x, pos)
         status, value = got
