@@ -51,12 +51,13 @@ def enumerate_og(k: int, n: int):
     b_top = (n - 2) // 2
     for s in range(0, k + 1):
         for a in combinations(range(1, half + 1), s):
+            splits = {av - 1 for av in a}  # b_j = a_i - 1 splits the locus
             primes = [False]
             if s and n % 2 == 0 and 2 * a[-1] == n:
                 primes.append(True)
             for prime in primes:
                 for b in combinations(range(0, b_top + 1), k - s):
-                    if any(av == bv + 1 for av in a for bv in b):
+                    if not splits.isdisjoint(b):
                         continue
                     if n % 2 == 0 and b and b[-1] == n // 2 - 1:
                         continue
@@ -97,10 +98,18 @@ class CatalogRecord:
 
     def to_json_line(self) -> str:
         out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return json.dumps(out, separators=(",", ":"))
+        for name in _FIELD_NAMES:
+            value = getattr(self, name)
+            out[name] = list(value) if isinstance(value, tuple) else value
+        return _ENCODER.encode(out)
+
+
+# A record's JSON keys, in line order; ``read_catalog`` wants exactly these.
+_FIELD_NAMES = tuple(f.name for f in fields(CatalogRecord))
+_FIELD_SET = frozenset(_FIELD_NAMES)
+# One compact encoder for every line; ``json.dumps`` with ``separators``
+# would build a new one per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def _essential(verdicts) -> tuple:
@@ -157,25 +166,22 @@ def write_catalog(records, path) -> None:
     """Write records as JSON Lines, sorted canonically; byte-deterministic.
     Raises CatalogIOError when the file cannot be written."""
     ordered = sorted(records, key=lambda r: r.sort_key)
+    text = "".join([rec.to_json_line() + "\n" for rec in ordered])
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for rec in ordered:
-                fh.write(rec.to_json_line() + "\n")
+            fh.write(text)
     except OSError as exc:
         raise _io_error("write", path, exc) from exc
 
 
 def _record_from_dict(obj: dict, line_no: int) -> CatalogRecord:
-    names = {f.name for f in fields(CatalogRecord)}
-    if set(obj) != names:
-        raise SchemaError(line_no, f"fields {sorted(set(obj) ^ names)} mismatched")
+    keys = obj.keys()
+    if keys != _FIELD_SET:
+        raise SchemaError(line_no, f"fields {sorted(keys ^ _FIELD_SET)} mismatched")
     kwargs = {}
     for name, value in obj.items():
         kwargs[name] = tuple(value) if isinstance(value, list) else value
-    try:
-        return CatalogRecord(**kwargs)
-    except TypeError as exc:
-        raise SchemaError(line_no, str(exc)) from None
+    return CatalogRecord(**kwargs)
 
 
 def read_catalog(path):

@@ -56,7 +56,7 @@ class GrIndex:
             raise OutOfBounds(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if len(self.a) != self.k:
             raise BadArity(f"expected {self.k} parts, got {len(self.a)}")
-        if any(not isinstance(v, int) for v in self.a):
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in self.a):
             raise OutOfBounds(f"parts must be integers: {self.a}")
         if any(x >= y for x, y in zip(self.a, self.a[1:])):
             raise NotStrictlyIncreasing(f"parts must strictly increase: {self.a}")

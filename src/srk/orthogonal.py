@@ -52,12 +52,17 @@ class OgIndex:
             raise NoIsotropicRoom(f"OG({k},{n}): need n >= 2k")
         if len(a) + len(b) != k:
             raise BadArity(f"got {len(a)} + {len(b)} parts for k = {k}")
-        if any(not isinstance(v, int) for v in a + b):
-            raise Bounds(f"parts must be integers: a={a}, b={b}")
-        if any(x >= y for x, y in zip(a, a[1:])):
-            raise NotStrictlyIncreasing(f"a must strictly increase: {a}")
-        if any(x >= y for x, y in zip(b, b[1:])):
-            raise NotStrictlyIncreasing(f"b must strictly increase: {b}")
+        # Every index the enumerator and the classifiers build comes
+        # through here, so the checks are plain loops, in a fixed order.
+        for v in a + b:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise Bounds(f"parts must be integers: a={a}, b={b}")
+        for i in range(1, len(a)):
+            if a[i - 1] >= a[i]:
+                raise NotStrictlyIncreasing(f"a must strictly increase: {a}")
+        for j in range(1, len(b)):
+            if b[j - 1] >= b[j]:
+                raise NotStrictlyIncreasing(f"b must strictly increase: {b}")
         if a and (a[0] < 1 or 2 * a[-1] > n):
             raise Bounds(f"need 1 <= a_i <= n/2: {a}")
         if b and (b[0] < 0 or 2 * b[-1] > n - 2):
@@ -111,11 +116,12 @@ def og_essential(x: OgIndex) -> tuple:
     essential iff b_{j-1} != b_j - 1 with the sentinel b_0 = -1, which makes
     the vacuous condition b_1 = 0 non-essential.
     """
+    s = x.s
     ess_a = set()
-    for i in range(1, x.s):
+    for i in range(1, s):
         if x.a[i] != x.a[i - 1] + 1:
             ess_a.add(i)
-    if x.s:
+    if s:
         degenerate = (
             x.n == 2 * x.k
             and x.b
@@ -123,7 +129,7 @@ def og_essential(x: OgIndex) -> tuple:
             and x.a[-1] == x.k
         )
         if not degenerate:
-            ess_a.add(x.s)
+            ess_a.add(s)
     ess_b = set()
     for j in range(1, len(x.b) + 1):
         prev = x.b[j - 2] if j >= 2 else -1

@@ -6,11 +6,13 @@ when every representative is a Schubert variety, which happens exactly when
 all essential positions are rigid.
 
 The per-position tests are purely arithmetic (clauses MT-1, MT-2 on the
-a-side, B-RIGID on the b-side, with exact rational comparison against
-(n-1)/2).  The supporting constructions assume n >= 2k + 2; in the small
-regimes n = 2k, 2k + 1 two documented index families have explicit
-deformations contradicting the arithmetic test, and those come back as
-``disputed`` with a warning rather than as a clean verdict.
+a-side, B-RIGID on the b-side).  Their thresholds k - j + b_j - (n-1)/2 are
+half-integers for even n, so each comparison is made exactly in doubled
+integers: 2 x_j against 2(k - j + b_j) - (n - 1).  The supporting
+constructions assume n >= 2k + 2; in the small regimes n = 2k, 2k + 1 two
+documented index families have explicit deformations contradicting the
+arithmetic test, and those come back as ``disputed`` with a warning rather
+than as a clean verdict.
 
 ``find_nonrigid_witness`` searches for hard evidence: a restriction-variety
 diagram whose expansion is exactly the class but which omits the flag element
@@ -28,7 +30,6 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
@@ -55,6 +56,25 @@ DEFAULT_SEARCH_BUDGET = 100_000
 WARN_SMALL_REGIME = "SMALL-N-REGIME"
 WARN_NO_ESSENTIAL_B = "NO-ESSENTIAL-B"
 
+# The verdicts that carry no index-dependent note.
+_RIGID = Verdict("rigid")
+_NOT_RIGID = Verdict("not_rigid")
+_NOT_RIGID_MT1 = Verdict("not_rigid", clause="MT-1")
+_NOT_RIGID_MT2 = Verdict("not_rigid", clause="MT-2")
+_DISPUTED_A_ON_B_THRESHOLD = Verdict(
+    "disputed", note="rests on a b-side verdict at the contested threshold"
+)
+_DISPUTED_B_ON_THRESHOLD = Verdict(
+    "disputed",
+    note="arithmetic test says rigid, but the class expansion "
+    "yields a restriction variety moving this flag element",
+)
+_DISPUTED_B_HALF_BRACKET = Verdict(
+    "disputed",
+    note="arithmetic test says not rigid, but no restriction variety "
+    "can move this flag element while a_s = n/2",
+)
+
 
 def x_counts(x: OgIndex) -> tuple:
     """x_j = #{i : a_i <= b_j} for each b-position j."""
@@ -64,15 +84,19 @@ def x_counts(x: OgIndex) -> tuple:
 def z_counts(x: OgIndex) -> tuple:
     """z_i = #{j : a_i <= b_j < a_{i+1}} for each a-position i (a_{s+1} open)."""
     out = []
-    for i in range(1, x.s + 1):
+    s = x.s
+    for i in range(1, s + 1):
         lo = x.a[i - 1]
-        hi = x.a[i] if i < x.s else None
+        hi = x.a[i] if i < s else None
         out.append(sum(1 for bv in x.b if bv >= lo and (hi is None or bv < hi)))
     return tuple(out)
 
 
-def _half(n: int) -> Fraction:
-    return Fraction(n - 1, 2)
+def _twice_threshold(x: OgIndex, j: int, bj: int) -> int:
+    """2(k - j + b_j) - (n - 1): twice the b-side threshold
+    k - j + b_j - (n-1)/2, an integer for every n, so that it compares
+    exactly with 2 x_j."""
+    return 2 * (x.k - j + bj) - (x.n - 1)
 
 
 def _mt1_fires(x: OgIndex, i: int) -> bool:
@@ -131,27 +155,30 @@ def _b_boundary_disputed(x: OgIndex, j: int, xs: tuple) -> bool:
     above the threshold in the arithmetic test; when every matching j' >= j
     sits exactly there, the class expansion produces a concrete restriction
     variety deforming the flag element, contradicting the Rigid arithmetic.
+    Doubled, the boundary reads 2 x_{j'} = 2(k - j' + b_{j'} + 1) - (n - 1).
     Flagged only for n >= 2k + 2 (below that the small-regime warning
     already covers the index).  ``xs`` is ``x_counts(x)``.
     """
     if x.n % 2 == 0 or x.n < 2 * x.k + 2:
         return False
-    matches = [jp for jp in range(j, len(x.b) + 1) if x.b[jp - 1] in x.a]
-    if not matches:
-        return False
-    return all(
-        Fraction(xs[jp - 1]) == x.k - jp + x.b[jp - 1] - _half(x.n) + 1
-        for jp in matches
-    )
+    matched = False
+    for jp in range(j, len(x.b) + 1):
+        bjp = x.b[jp - 1]
+        if bjp in x.a:
+            if 2 * xs[jp - 1] != _twice_threshold(x, jp, bjp) + 2:
+                return False
+            matched = True
+    return matched
 
 
 def og_rigid_a(x: OgIndex, i: int) -> Verdict:
     """Verdict for a-position i.
 
     Not rigid iff MT-1 or MT-2 fires; clause MT-2 needs a_i = b_j with
-    x_j = k - j + b_j - (n-1)/2 exactly (never for even n).  Verdicts that
-    fall in a documented small-regime conflict, or on the contested b-side
-    threshold the position's rigidity rests on, come back disputed.
+    x_j = k - j + b_j - (n-1)/2 exactly (never for even n), tested as
+    2 x_j = 2(k - j + b_j) - (n - 1).  Verdicts that fall in a documented
+    small-regime conflict, or on the contested b-side threshold the
+    position's rigidity rests on, come back disputed.
     """
     if not (1 <= i <= x.s):
         raise PositionOutOfRange(f"a-position {i} not in 1..{x.s}")
@@ -160,7 +187,8 @@ def og_rigid_a(x: OgIndex, i: int) -> Verdict:
 
 def og_rigid_b(x: OgIndex, j: int) -> Verdict:
     """Verdict for b-position j: rigid iff some j' >= j has b_{j'} among the
-    a-parts with x_{j'} strictly above k - j' + b_{j'} - (n-1)/2.
+    a-parts with x_{j'} strictly above k - j' + b_{j'} - (n-1)/2, tested as
+    2 x_{j'} > 2(k - j' + b_{j'}) - (n - 1).
 
     A Rigid verdict earned only on the contested odd-n threshold (see
     ``_b_boundary_disputed``) is downgraded to disputed.
@@ -176,21 +204,18 @@ def _rigid_a(x: OgIndex, i: int, ess_a: set, xs: tuple) -> Verdict:
     if i not in ess_a:
         return NOT_ESSENTIAL
     if _mt1_fires(x, i):
-        return Verdict("not_rigid", clause="MT-1")
+        return _NOT_RIGID_MT1
     ai = x.a[i - 1]
     if ai in x.b:
         j = x.b.index(ai) + 1
-        if Fraction(xs[j - 1]) == x.k - j + ai - _half(x.n):
-            return Verdict("not_rigid", clause="MT-2")
+        if 2 * xs[j - 1] == _twice_threshold(x, j, ai):
+            return _NOT_RIGID_MT2
         if _b_boundary_disputed(x, j, xs):
-            return Verdict(
-                "disputed",
-                note="rests on a b-side verdict at the contested threshold",
-            )
+            return _DISPUTED_A_ON_B_THRESHOLD
     note = _disputed_note(x, i)
     if note is not None:
         return Verdict("disputed", note=note)
-    return Verdict("rigid")
+    return _RIGID
 
 
 def _rigid_b(x: OgIndex, j: int, ess_b: set, xs: tuple) -> Verdict:
@@ -200,24 +225,16 @@ def _rigid_b(x: OgIndex, j: int, ess_b: set, xs: tuple) -> Verdict:
         return NOT_ESSENTIAL
     for jp in range(j, len(x.b) + 1):
         bjp = x.b[jp - 1]
-        if bjp in x.a and Fraction(xs[jp - 1]) > x.k - jp + bjp - _half(x.n):
+        if bjp in x.a and 2 * xs[jp - 1] > _twice_threshold(x, jp, bjp):
             if _b_boundary_disputed(x, j, xs):
-                return Verdict(
-                    "disputed",
-                    note="arithmetic test says rigid, but the class expansion "
-                    "yields a restriction variety moving this flag element",
-                )
+                return _DISPUTED_B_ON_THRESHOLD
             return Verdict("rigid", clause="B-RIGID", note=f"via j'={jp}")
-    if x.n % 2 == 0 and x.s and 2 * x.a[-1] == x.n:
+    if x.n % 2 == 0 and x.a and 2 * x.a[-1] == x.n:
         # a bracket at n/2 forces every quadric of any witness diagram to
         # have d + r = n, i.e. the diagram is already a Schubert one; the
         # deformation backing the not-rigid arithmetic cannot exist here
-        return Verdict(
-            "disputed",
-            note="arithmetic test says not rigid, but no restriction variety "
-            "can move this flag element while a_s = n/2",
-        )
-    return Verdict("not_rigid")
+        return _DISPUTED_B_HALF_BRACKET
+    return _NOT_RIGID
 
 
 def og_rigid_class(x: OgIndex) -> tuple:
@@ -266,21 +283,20 @@ def classify_og(x: OgIndex) -> RigidityReport:
     (clause 1 skipped when no essential b-position exists), and
     ``method_agreement`` says whether the two agree.
     """
+    s = x.s
     ess = og_essential(x)
     xs = x_counts(x)
-    a_verdicts = tuple(_rigid_a(x, i, ess[0], xs) for i in range(1, x.s + 1))
+    a_verdicts = tuple(_rigid_a(x, i, ess[0], xs) for i in range(1, s + 1))
     b_verdicts = tuple(_rigid_b(x, j, ess[1], xs) for j in range(1, len(x.b) + 1))
     class_rigid = all(v.is_rigid for v in a_verdicts + b_verdicts if v.is_essential)
     ess_b = [j for j, v in enumerate(b_verdicts, start=1) if v.is_essential]
     if ess_b:
         gamma = ess_b[-1]
         bg = x.b[gamma - 1]
-        cond1 = bg in x.a and Fraction(xs[gamma - 1]) > (
-            x.k - gamma + bg - _half(x.n)
-        )
+        cond1 = bg in x.a and 2 * xs[gamma - 1] > _twice_threshold(x, gamma, bg)
     else:
         cond1 = True
-    cond2 = not any(_mt1_fires(x, i) for i in range(1, x.s))
+    cond2 = not any(_mt1_fires(x, i) for i in range(1, s))
     warnings = []
     if x.n <= 2 * x.k + 1:
         warnings.append(WARN_SMALL_REGIME)

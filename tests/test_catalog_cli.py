@@ -1,5 +1,6 @@
 """Catalog records, JSONL round-trips, and the command-line surface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -77,6 +78,36 @@ def test_catalog_roundtrip_and_determinism(tmp_path):
     assert read_catalog(p1) == sorted(records, key=lambda r: r.sort_key)
 
 
+# sha256 of the catalog lines of every OG index of k <= 6, 2k <= n <= 14
+CATALOG_LINES_COUNT = 4230
+CATALOG_LINES_SHA256 = "559ef716589c46406c5d1c2ef606ae7961127ec79057fe8dd8625220e34e5a19"
+
+
+def test_catalog_lines_are_byte_stable():
+    """Every record line, byte for byte, against a pinned digest.
+
+    Regenerate (only when a catalog change is intended):
+    PYTHONPATH=src python -c "import hashlib; from srk import *; h = hashlib.sha256(); xs = [x for k in range(1, 7) for n in range(2 * k, 15) for x in enumerate_og(k, n)]; [h.update((build_record(x).to_json_line() + '\\n').encode()) for x in xs]; print(len(xs), h.hexdigest())"
+    """
+    h = hashlib.sha256()
+    count = 0
+    for k in range(1, 7):
+        for n in range(2 * k, 15):
+            for x in enumerate_og(k, n):
+                h.update((build_record(x).to_json_line() + "\n").encode())
+                count += 1
+    assert count == CATALOG_LINES_COUNT
+    assert h.hexdigest() == CATALOG_LINES_SHA256
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_catalog_roundtrip_one_space_per_k(tmp_path, k):
+    records = [build_record(x) for x in enumerate_og(k, 2 * k + 2)]
+    path = tmp_path / "og.jsonl"
+    write_catalog(records, path)
+    assert read_catalog(path) == sorted(records, key=lambda r: r.sort_key)
+
+
 def test_catalog_dims_match_independent_recomputation(tmp_path):
     from srk import gr_dimension, pushforward, validate_gr, validate_og
 
@@ -100,6 +131,12 @@ def test_catalog_schema_error_carries_line(tmp_path):
     with pytest.raises(SchemaError) as exc:
         read_catalog(p)
     assert exc.value.line == 2
+    extra = json.loads(rec.to_json_line())
+    extra["colour"] = "red"
+    p.write_text(2 * (rec.to_json_line() + "\n") + json.dumps(extra) + "\n")
+    with pytest.raises(SchemaError) as exc:
+        read_catalog(p)
+    assert exc.value.line == 3 and "'colour'" in str(exc.value)
 
 
 def test_cli_classify_human():

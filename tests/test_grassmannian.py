@@ -35,6 +35,8 @@ def test_validate_accepts_strictly_increasing():
         (2, 4, [0, 3], OutOfBounds),
         (2, 4, [1], BadArity),
         (5, 4, [1, 2, 3, 4, 4], OutOfBounds),
+        (2, 5, [True, 2], OutOfBounds),  # bool is not a part
+        (2, 5, [1, 2.0], OutOfBounds),
     ],
 )
 def test_validate_rejects(k, n, a, err):

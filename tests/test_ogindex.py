@@ -52,6 +52,8 @@ def test_validate_splits_into_two_with_diagnostic():
         (dict(k=3, n=8, a=[1], b=[3]), BadArity),
         (dict(k=0, n=0, a=[], b=[]), Bounds),
         (dict(k=0, n=4, a=[], b=[]), Bounds),
+        (dict(k=2, n=8, a=[True, 3], b=[]), Bounds),  # bool is not a part
+        (dict(k=2, n=8, a=[3], b=[False]), Bounds),
     ],
 )
 def test_validate_rejects(kwargs, err):
