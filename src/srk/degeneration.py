@@ -42,6 +42,16 @@ bracket onto r_kappa + 1 directly ((A2) keeps that position free);
 bracket at r_q + 1; and ``_algorithm1``'s (A2) repair always finds quadric
 kappa, because a copy split off at quadric kappa never fails (A2).
 
+Four monotonicity facts hold along every derivation, read off the rules:
+
+  - a bracket only moves left (D^b) or is added (the (A1) split);
+  - a quadric's d never rises (only the (A2) repair changes it, by -1);
+  - coranks never fall (every corank change is ``_raise_corank``);
+  - quadrics leave from the innermost end (the (A1) split drops quadric q).
+
+So ``can_reach`` can tell, without expanding a diagram, that a class is
+not one of its terms.
+
 Diagrams are immutable; expansion is deterministic and side-effect free, so
 results may be cached and shared across threads.
 """
@@ -423,6 +433,34 @@ def pushforward(x: OgIndex, trace: bool = False):
     if not (result[0] if trace else result):
         raise EngineInvariantError(f"zero pushforward for {x}")
     return result
+
+
+def can_reach(D: QuadricDiagram, x: OgIndex) -> bool:
+    """Whether sigma_x can be a term of ``expand(D)``, as far as the four
+    monotonicity facts tell; False only when no derivation from D can end
+    at x's Schubert diagram.
+
+    x is taken in canonical form (``canonical_index``), the form of every
+    term.  A derivation ending at x keeps D's first q' = len(x.b) quadrics,
+    the j-th with d_j shrunk to n - b_j, so q' <= q and b_j >= n - d_j.
+    Each of the others left as a bracket at or left of d_j - 1, and every
+    bracket moved left or stayed, so the sorted brackets of D and those
+    positions bound x's a-parts from above, one by one.
+    """
+    b = x.b
+    kept = len(b)
+    ds = D.ds
+    if kept > len(ds):
+        return False
+    m = D.m
+    for bj, d in zip(b, ds):
+        if bj + d < m:
+            return False
+    ends = sorted(D.bracket_dims + tuple([d - 1 for d in ds[kept:]]))
+    for end, a in zip(ends, x.a):
+        if end < a:
+            return False
+    return True
 
 
 def merge_primes(S: ClassSum) -> ClassSum:

@@ -221,86 +221,78 @@ def diagram_dimension(D: QuadricDiagram) -> int:
 
 
 def check_conditions(D: QuadricDiagram) -> AdmissibilityReport:
-    """Evaluate conditions (1)-(3) and (A1)-(A3); verdicts, not exceptions."""
-    rep = AdmissibilityReport(x=x_profile(D))
-    warnings = []
+    """Evaluate conditions (1)-(3) and (A1)-(A3); verdicts, not exceptions.
+
+    Every condition is decided in one pass over the parts.  The constructor
+    keeps the coranks nondecreasing, so r_t - r_i >= t - i - 1 holds for
+    t = i + 1 and all coranks equal r_1 exactly when r_q does.
+    """
     ds, rs, dims = D.ds, D.rs, D.bracket_dims
     q = D.q
+    xs = x_profile(D)
 
-    # (1): nondecreasing coranks, r_j <= d_j.  The constructor rejects any
-    # diagram that breaks it, so it holds for every QuadricDiagram.
-    rep.conditions["1"] = (True, None)
-
-    # (2): the containment pattern between flag elements and singular loci is
-    # exactly what the digit/bracket layout encodes.
-    rep.conditions["2"] = (True, "convention: encoded by the diagram")
-
-    # (3)
-    first = bool(rs) and all(r == rs[0] for r in rs) and rs[0] in dims
-    second, wit3 = True, None
-    for i in range(q):
-        for t in range(i + 1, q):
+    # (3): the first clause, or the second, r_t - r_i >= t - i - 1 for all
+    # t > i and, at the first equal pair above r_1, adjacent braces and
+    # d_i - d_{i+1} = r_{i+1} - r_i from there inward.  When that pair
+    # passes, every later corank step is at least 1 (the d's strictly
+    # decrease), so the first pair is the only one to check.
+    first = bool(q) and rs[-1] == rs[0] and rs[0] in dims
+    wit3 = None
+    for i in range(q - 2):
+        for t in range(i + 2, q):
             if rs[t] - rs[i] < t - i - 1:
-                second, wit3 = False, f"r_{t + 1} - r_{i + 1} < {t - i - 1}"
+                wit3 = f"r_{t + 1} - r_{i + 1} < {t - i - 1}"
                 break
-        if not second:
+        if wit3:
             break
-    if second:
+    else:
         for t in range(1, q):
             if rs[t] == rs[t - 1] > rs[0]:
                 if ds[t - 1] - ds[t] != 1:
-                    second, wit3 = False, f"d_{t} - d_{t + 1} != 1"
-                    break
-                bad = next(
-                    (
-                        i
-                        for i in range(t, q - 1)
-                        if ds[i] - ds[i + 1] != rs[i + 1] - rs[i]
-                    ),
-                    None,
-                )
-                if bad is not None:
-                    second, wit3 = False, f"d_{bad + 1} - d_{bad + 2} != r gap"
-                    break
-    if q == 0:
-        rep.conditions["3"] = (True, None)
-    else:
-        rep.conditions["3"] = (first or second, None if first or second else wit3)
-        if first and not second:
-            # the verdict hinges on reading "r_i = r_1 = n_{r_1}" as
-            # "all coranks equal r_1 and r_1 is a bracket dimension"
-            warnings.append("COND3-FIRST-CLAUSE")
-
-    # (A1)
-    if q == 0:
-        rep.conditions["A1"] = (True, None)
-    else:
-        ok = rs[-1] <= ds[-1] - 3
-        rep.conditions["A1"] = (ok, None if ok else f"r_q = {rs[-1]} > {ds[-1] - 3}")
-
-    # (A2)
-    okA2, witA2 = True, None
-    for v in dims:
-        for j, r in enumerate(rs, start=1):
-            if v - r == 1:
-                okA2, witA2 = False, f"bracket {v} = r_{j} + 1"
+                    wit3 = f"d_{t} - d_{t + 1} != 1"
+                else:
+                    for i in range(t, q - 1):
+                        if ds[i] - ds[i + 1] != rs[i + 1] - rs[i]:
+                            wit3 = f"d_{i + 1} - d_{i + 2} != r gap"
+                            break
                 break
-        if not okA2:
-            break
-    rep.conditions["A2"] = (okA2, witA2)
+    second = wit3 is None
+    # the verdict hinges on reading "r_i = r_1 = n_{r_1}" as "all coranks
+    # equal r_1 and r_1 is a bracket dimension"
+    warnings = ("COND3-FIRST-CLAUSE",) if first and not second else ()
 
-    # (A3)
-    okA3, witA3 = True, None
+    okA1 = not q or rs[-1] <= ds[-1] - 3
+
+    witA2 = None
+    for v in dims:
+        if v - 1 in rs:
+            witA2 = f"bracket {v} = r_{rs.index(v - 1) + 1} + 1"
+            break
+
+    witA3 = None
+    k = D.k
     for j in range(1, q + 1):
-        d, r = ds[j - 1], rs[j - 1]
-        need = D.k - j + 1 - (d - r) // 2
-        if rep.x[j - 1] < need:
-            okA3, witA3 = False, f"x_{j} = {rep.x[j - 1]} < {need}"
+        need = k - j + 1 - (ds[j - 1] - rs[j - 1]) // 2
+        if xs[j - 1] < need:
+            witA3 = f"x_{j} = {xs[j - 1]} < {need}"
             break
-    rep.conditions["A3"] = (okA3, witA3)
 
-    rep.warnings = tuple(warnings)
-    return rep
+    return AdmissibilityReport(
+        conditions={
+            # (1): nondecreasing coranks, r_j <= d_j.  The constructor rejects
+            # any diagram that breaks it, so it holds for every QuadricDiagram.
+            "1": (True, None),
+            # (2): the containment pattern between flag elements and singular
+            # loci is exactly what the digit/bracket layout encodes.
+            "2": (True, "convention: encoded by the diagram"),
+            "3": (True, None) if first or second else (False, wit3),
+            "A1": (True, None) if okA1 else (False, f"r_q = {rs[-1]} > {ds[-1] - 3}"),
+            "A2": (witA2 is None, witA2),
+            "A3": (witA3 is None, witA3),
+        },
+        x=xs,
+        warnings=warnings,
+    )
 
 
 # --- text forms ------------------------------------------------------------

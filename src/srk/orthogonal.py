@@ -67,6 +67,8 @@ class OgIndex:
             raise Bounds(f"need 1 <= a_i <= n/2: {a}")
         if b and (b[0] < 0 or 2 * b[-1] > n - 2):
             raise Bounds(f"need 0 <= b_j <= n/2 - 1: {b}")
+        if type(self.prime) is not bool:
+            raise BadPrime(f"prime marker must be a bool, got {self.prime!r}")
         if self.prime and not (n % 2 == 0 and a and 2 * a[-1] == n):
             raise BadPrime(f"prime marker needs n even and a_s = n/2: a={a}, n={n}")
         for i, av in enumerate(a, start=1):

@@ -21,8 +21,11 @@ the queried position asserts.  A diagram's dimension is read off the diagram
 so only the diagrams of the class's dimension are candidates, and only they
 are enumerated (``enumerate_diagrams(k, n, dim)``): a diagram of another
 dimension is neither built nor expanded, and the search budget counts the
-diagrams of the class's dimension the scan reads.  A candidate's engine
-error aborts the scan; no error is caught.
+diagrams of the class's dimension the scan reads.  A candidate whose
+derivation cannot reach the class (``can_reach``: brackets only move left,
+a quadric's d never rises, quadrics leave from the innermost end) is
+skipped unexpanded.  A candidate's engine error aborts the scan; no error
+is caught.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .classsum import ClassSum
-from .degeneration import expand
+from .degeneration import can_reach, expand
 from .diagrams import QuadricDiagram, enumerate_diagrams, print_diagram
 from .errors import (
     EngineInvariantError,
@@ -413,10 +416,12 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
     is the class's, in canonical order, keeping those that omit the asserted
     flag element; the first whose expansion is exactly 1 * x wins.  Every
     term of a diagram's expansion has the diagram's dimension, so no diagram
-    of another dimension can be a witness, and none is enumerated.  An
-    engine error in a kept candidate's expansion aborts the scan; no error
-    is caught.  Every diagram of the class's dimension the scan reads counts
-    against the budget, kept or not.  Returns None when the exhaustive scan
+    of another dimension can be a witness, and none is enumerated.  A kept
+    candidate is expanded only when ``can_reach`` says its derivation can
+    end at x; the others cannot be witnesses and are skipped.  An engine
+    error in an expanded candidate aborts the scan; no error is caught.
+    Every diagram of the class's dimension the scan reads counts against
+    the budget, expanded or not.  Returns None when the exhaustive scan
     finds nothing; raises SearchBudgetExceeded past the cap (argument, else
     the SRK_SEARCH_BUDGET environment variable, else 100000 diagrams),
     PositionOutOfRange unless the position is a pair of "a" or "b" and an
@@ -459,6 +464,10 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
     for i, D in enumerate(memo):
         if i >= budget:
             raise SearchBudgetExceeded(f"witness search passed {budget} diagrams")
-        if _omits_assertion(D, cx, kind, idx) and memo.class_at(i) == target:
+        if (
+            _omits_assertion(D, cx, kind, idx)
+            and can_reach(D, cx)
+            and memo.class_at(i) == target
+        ):
             return D
     return None

@@ -431,14 +431,14 @@ def test_cli_witness_budget_exit_code():
 
 
 def test_cli_engine_error_exit_code_for_witness():
-    # the scan reaches the out-of-family diagram 244000}0}0}0}00
+    # the scan reaches the out-of-family diagram 244000}0}0}0}000
     out = run_cli(
-        "witness", "--k", "4", "--n", "11", "--a", "1", "--b", "1,3,4",
-        "--position", "b:2",
+        "witness", "--k", "4", "--n", "12", "--a", "2,6", "--b", "3,4",
+        "--position", "a:1",
     )
     assert out.returncode == 4 and out.stdout == ""
-    assert out.stderr.startswith("error: 244000}0}0}0}00 fails")
-    assert out.stderr.endswith("(while expanding scan candidate 344000}0}0}0}00)\n")
+    assert out.stderr.startswith("error: 244000}0}0}0}000 fails")
+    assert out.stderr.endswith("(while expanding scan candidate 344000}0}0}0}000)\n")
     assert "Traceback" not in out.stderr
 
 

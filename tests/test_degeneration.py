@@ -297,6 +297,42 @@ def test_replayed_trace_agrees_with_cached_class():
     assert cases == 686
 
 
+def test_every_term_of_an_expansion_is_reachable():
+    """``can_reach`` holds for every term of every expansion: over every
+    admissible diagram of k <= 4, m <= 11, of OG(4,12), OG(5,10..12) and
+    OG(6,12), those whose derivation leaves the admissible family aside."""
+    spaces = [(k, m) for k in range(1, 5) for m in range(1, 12)]
+    spaces += [(4, 12), (5, 10), (5, 11), (5, 12), (6, 12)]
+    diagrams = terms = 0
+    for k, m in spaces:
+        for D in enumerate_diagrams(k, m):
+            diagrams += 1
+            try:
+                cls = expand(D)
+            except EngineInvariantError:
+                continue
+            for x, _ in cls:
+                assert deg.can_reach(D, x), (print_diagram(D), str(x))
+                terms += 1
+    assert diagrams == 8562 and terms > 14000
+
+
+def test_can_reach_rules_out_unreachable_classes():
+    # quadric 1 of 344000}0}0}0}00 has d = 9, and d never rises, so no
+    # derivation ends with b_1 = 1 (d = 10); the scan for σ_1^{1,3,4} at b:2
+    # skips it instead of expanding it, which left the admissible family
+    wide = parse_diagram("344000}0}0}0}00")
+    assert not deg.can_reach(wide, validate_og(4, 11, [1], [1, 3, 4]))
+    with pytest.raises(EngineInvariantError):
+        expand(wide)
+    # quadrics leave, none is added: no term of a one-quadric diagram has two
+    assert not deg.can_reach(D(10, [1], [(9, 0)]), validate_og(2, 10, [], [1, 3]))
+    # brackets only move left: CONE_POINT's bracket 2 and quadric 5 - 1 = 4
+    # bound σ_{2,3}'s a-parts, a bracket at 1 does not
+    assert deg.can_reach(CONE_POINT, validate_og(2, 6, [2, 3], []))
+    assert not deg.can_reach(D(6, [1], [(5, 0)]), validate_og(2, 6, [2, 3], []))
+
+
 def test_expansion_checks_each_diagram_once(monkeypatch):
     checked = Counter()
 

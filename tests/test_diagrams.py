@@ -1,5 +1,6 @@
 """Quadric diagrams: structure, admissibility conditions, text grammar."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -58,6 +59,31 @@ def test_check_conditions_examples():
     rep_a2 = check_conditions(D(6, [2], [(5, 1)]))
     assert rep_a2.failed() == ["A2"]
     assert rep_a2.x == (0,)
+
+
+# sha256 of (print_diagram, conditions, x, warnings) of check_conditions over
+# every structurally valid diagram of k <= 4, m <= 10 with d_j + r_j <= m
+CONDITION_REPORTS_COUNT = 23669
+CONDITION_REPORTS_SHA256 = "b0b53745102241fcd3ca6552dfd7b6d46e898d0a6de8527b069a0cebba5a7b76"
+
+
+def test_condition_reports_are_stable():
+    """Every report, its failing verdicts and witness strings included,
+    against a pinned digest.
+
+    Regenerate (only when a report change is intended):
+    PYTHONPATH=src:tests python -c "import hashlib; from srk import *; from test_diagrams import _unpruned_diagrams; h = hashlib.sha256(); reps = [(d, check_conditions(d)) for k in range(1, 5) for m in range(1, 11) for d in _unpruned_diagrams(k, m, admissible_only=False)]; [h.update(f'{print_diagram(d)} {r.conditions} {r.x} {r.warnings}\\n'.encode()) for d, r in reps]; print(len(reps), h.hexdigest())"
+    """
+    h = hashlib.sha256()
+    count = 0
+    for k in range(1, 5):
+        for m in range(1, 11):
+            for d in _unpruned_diagrams(k, m, admissible_only=False):
+                rep = check_conditions(d)
+                h.update(f"{print_diagram(d)} {rep.conditions} {rep.x} {rep.warnings}\n".encode())
+                count += 1
+    assert count == CONDITION_REPORTS_COUNT
+    assert h.hexdigest() == CONDITION_REPORTS_SHA256
 
 
 def test_condition3_tail_clause():

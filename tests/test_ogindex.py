@@ -54,6 +54,8 @@ def test_validate_splits_into_two_with_diagnostic():
         (dict(k=0, n=4, a=[], b=[]), Bounds),
         (dict(k=2, n=8, a=[True, 3], b=[]), Bounds),  # bool is not a part
         (dict(k=2, n=8, a=[3], b=[False]), Bounds),
+        (dict(k=2, n=8, a=[2, 4], b=[], prime="yes"), BadPrime),  # not a bool
+        (dict(k=2, n=8, a=[2, 4], b=[], prime=1), BadPrime),
     ],
 )
 def test_validate_rejects(kwargs, err):
