@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, fields
 from itertools import combinations
 
-from .errors import CatalogIOError, NoIsotropicRoom, OutOfBounds, SchemaError
+from .errors import CatalogIOError, NoIsotropicRoom, OutOfBounds, SchemaError, ValidationError
 from .grassmannian import (
     GrIndex,
     gr_dimension,
@@ -174,19 +174,70 @@ def write_catalog(records, path) -> None:
         raise _io_error("write", path, exc) from exc
 
 
+# Each field's JSON type and, for a list, its items' type; the parts of a
+# and b are checked when the index is rebuilt.
+_FIELD_TYPES = {
+    "space": (str, None),
+    "k": (int, None),
+    "n": (int, None),
+    "a": (list, None),
+    "b": (list, None),
+    "prime": (bool, None),
+    "dim": (int, None),
+    "essential_a": (list, int),
+    "essential_b": (list, int),
+    "rigid_a": (list, str),
+    "rigid_b": (list, str),
+    "class_rigid": (bool, None),
+    "envelope": (list, int),
+    "warnings": (list, str),
+}
+# Per space, (field, type, item type) in line order; the fields that only
+# the other space fills are null.
+_SPACE_TYPES = {
+    space: tuple(
+        (name, type(None), None) if name in nulls else (name, *_FIELD_TYPES[name])
+        for name in _FIELD_NAMES
+    )
+    for space, nulls in (("G", ("b", "prime", "essential_b", "rigid_b")), ("OG", ("envelope",)))
+}
+
+
 def _record_from_dict(obj: dict, line_no: int) -> CatalogRecord:
+    """The record of one decoded line, once every field has its type and
+    (k, n, a, b, prime) validates as an index of the line's space."""
     keys = obj.keys()
     if keys != _FIELD_SET:
         raise SchemaError(line_no, f"fields {sorted(keys ^ _FIELD_SET)} mismatched")
+    space = obj["space"]
+    if space not in ("G", "OG"):
+        raise SchemaError(line_no, f"field 'space' has a bad value {space!r}")
     kwargs = {}
-    for name, value in obj.items():
-        kwargs[name] = tuple(value) if isinstance(value, list) else value
-    return CatalogRecord(**kwargs)
+    for name, kind, item in _SPACE_TYPES[space]:
+        value = obj[name]
+        if type(value) is not kind or item and any(type(e) is not item for e in value):
+            raise SchemaError(line_no, f"field {name!r} has a bad value {value!r}")
+        kwargs[name] = tuple(value) if kind is list else value
+    try:
+        if space == "OG":
+            OgIndex(obj["k"], obj["n"], obj["a"], obj["b"], obj["prime"])
+        else:
+            GrIndex(obj["k"], obj["n"], obj["a"])
+    except ValidationError as exc:
+        raise SchemaError(line_no, f"fields 'k', 'n', 'a', 'b', 'prime': {exc}") from None
+    # every field is checked, so fill the frozen record's dict directly, as
+    # its generated __init__ would, at a tenth of the cost
+    rec = object.__new__(CatalogRecord)
+    rec.__dict__.update(kwargs)
+    return rec
 
 
 def read_catalog(path):
     """Read a JSONL catalog back; inverse of ``write_catalog``.  Raises
-    CatalogIOError when the file cannot be read, SchemaError on a bad line."""
+    CatalogIOError when the file cannot be read, and SchemaError, naming the
+    line and the field, on a line that is not a record: bad JSON, missing or
+    extra keys, a value of the wrong JSON type, or an index that does not
+    validate."""
     out = []
     try:
         with open(path, "r", encoding="utf-8") as fh:

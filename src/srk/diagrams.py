@@ -21,9 +21,10 @@ Admissibility conditions checked here, by label:
   (A2)  n_i - r_j != 1 for every bracket/quadric pair;
   (A3)  x_j >= k - j + 1 - floor((d_j - r_j)/2), where x_j = #{i : n_i <= r_j}.
 
-``enumerate_diagrams`` yields only admissible diagrams.  It prunes each
-quadric chain while generating it: a corank that breaks flag existence, (3)
-or one of (A1)-(A3) given the chain placed so far is skipped with its whole
+``enumerate_diagrams`` yields only admissible diagrams, one bracket set
+(``bracket_sets``) at a time (``diagrams_with``).  It prunes each quadric
+chain while generating it: a corank that breaks flag existence, (3) or one
+of (A1)-(A3) given the chain placed so far is skipped with its whole
 subtree, so every diagram it yields is admissible by construction and is not
 checked again there; the tests assert ``check_conditions`` on every one.
 Asked for one dimension, it also skips every chain whose diagram cannot have
@@ -527,37 +528,49 @@ def _quadric_profiles(q, m, dims, k, total=None):
             yield tuple(Quadric(d, r) for d, r in zip(ds, rs))
 
 
-def enumerate_diagrams(k: int, m: int, dim: int | None = None):
-    """Every admissible diagram with k parts in ambient m, in canonical order;
-    with ``dim``, only those of ``diagram_dimension`` dim, in the same order.
+def bracket_sets(k: int, m: int):
+    """The bracket tuples of k-part diagrams in ambient m, in canonical order:
+    s = 0..k brackets at dimensions <= m/2, a tuple whose largest bracket
+    sits at m/2 followed by its primed variant."""
+    half = m // 2
+    for s in range(0, k + 1):
+        for dims in combinations(range(1, half + 1), s):
+            yield tuple(Bracket(v) for v in dims)
+            if dims and 2 * dims[-1] == m:
+                yield tuple(Bracket(v) for v in dims[:-1]) + (Bracket(dims[-1], True),)
 
-    Brackets range over isotropic dimensions (<= m/2, primed variants when a
-    bracket sits exactly at m/2), quadrics over chains with d_j + r_j <= m,
-    so every diagram yielded fits its ambient.  ``_quadric_profiles`` never
-    builds a chain that breaks flag existence, (3) or (A1)-(A3), so every
-    diagram yielded passes (1)-(3) and (A1)-(A3) by construction and none is
-    checked here; the tests assert ``check_conditions`` on every one.
+
+def diagrams_with(k: int, m: int, brackets: tuple, dim: int | None = None):
+    """The admissible k-part diagrams in ambient m on the tuple ``brackets``,
+    in canonical order; with ``dim``, only those of ``diagram_dimension`` dim.
 
     The dimension is not computed per diagram.  Its closed form fixes
-    sum_j (d_j + x_j) = dim - sum_i n_i + s(s+1)/2 + 2sq + q(q+1) for each
-    bracket set, and ``_quadric_profiles`` builds only the chains that meet
-    that total, so a dimension with no diagrams yields nothing.
-    Raises ``OutOfBounds`` when k < 1 or m < 1.
+    sum_j (d_j + x_j) = dim - sum_i n_i + s(s+1)/2 + 2sq + q(q+1), and
+    ``_quadric_profiles`` builds only the chains that meet that total, so a
+    dimension with no diagrams yields nothing.
+    """
+    dims = tuple(b.dim for b in brackets)
+    s, q = len(dims), k - len(dims)
+    total = None
+    if dim is not None:
+        total = dim - sum(dims) + s * (s + 1) // 2 + 2 * s * q + q * (q + 1)
+    for quadrics in _quadric_profiles(q, m, dims, k, total):
+        yield QuadricDiagram(m, brackets, quadrics)
+
+
+def enumerate_diagrams(k: int, m: int, dim: int | None = None):
+    """Every admissible diagram with k parts in ambient m, in canonical order
+    (``diagrams_with`` for each tuple of ``bracket_sets``); with ``dim``,
+    only those of ``diagram_dimension`` dim, in the same order.
+
+    Quadrics range over chains with d_j + r_j <= m, so every diagram yielded
+    fits its ambient.  ``_quadric_profiles`` never builds a chain that breaks
+    flag existence, (3) or (A1)-(A3), so every diagram yielded passes (1)-(3)
+    and (A1)-(A3) by construction and none is checked here; the tests assert
+    ``check_conditions`` on every one.  Raises ``OutOfBounds`` when k < 1 or
+    m < 1.
     """
     if k < 1 or m < 1:
         raise OutOfBounds(f"need k >= 1 and m >= 1, got k={k}, m={m}")
-    half = m // 2
-    for s in range(0, k + 1):
-        q = k - s
-        for dims in combinations(range(1, half + 1), s):
-            total = None
-            if dim is not None:
-                total = dim - sum(dims) + s * (s + 1) // 2 + 2 * s * q + q * (q + 1)
-            variants = [tuple(Bracket(v) for v in dims)]
-            if dims and 2 * dims[-1] == m:
-                variants.append(
-                    tuple(Bracket(v) for v in dims[:-1]) + (Bracket(dims[-1], True),)
-                )
-            for brackets in variants:
-                for quadrics in _quadric_profiles(q, m, dims, k, total):
-                    yield QuadricDiagram(m, brackets, quadrics)
+    for brackets in bracket_sets(k, m):
+        yield from diagrams_with(k, m, brackets, dim)

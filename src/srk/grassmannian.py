@@ -121,6 +121,15 @@ def gr_essential(x: GrIndex) -> set:
     return out
 
 
+def check_position(name: str, i, limit: int) -> None:
+    """Raise PositionOutOfRange unless i is an int, not a bool, in 1..limit;
+    ``name`` labels the position in the message."""
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise PositionOutOfRange(f"position index must be an int, got {i!r}")
+    if not (1 <= i <= limit):
+        raise PositionOutOfRange(f"{name} {i} not in 1..{limit}")
+
+
 def gr_rigid_index(x: GrIndex, i: int) -> Verdict:
     """Whether essential position i pins a unique flag element.
 
@@ -128,8 +137,7 @@ def gr_rigid_index(x: GrIndex, i: int) -> Verdict:
     (with the sentinel a_0 = 0).  The converse holds, so anything else is
     genuinely deformable.
     """
-    if not (1 <= i <= x.k):
-        raise PositionOutOfRange(f"position {i} not in 1..{x.k}")
+    check_position("position", i, x.k)
     if i not in gr_essential(x):
         return NOT_ESSENTIAL
     ai = x.a[i - 1]

@@ -5,47 +5,49 @@ one fixed flag element the way the index prescribes there; the class is rigid
 when every representative is a Schubert variety, which happens exactly when
 all essential positions are rigid.
 
-The per-position tests are purely arithmetic (clauses MT-1, MT-2 on the
-a-side, B-RIGID on the b-side).  Their thresholds k - j + b_j - (n-1)/2 are
+The per-position tests are purely arithmetic (clause MT-1 on the a-side,
+B-RIGID on the b-side).  Their thresholds k - j + b_j - (n-1)/2 are
 half-integers for even n, so each comparison is made exactly in doubled
-integers: 2 x_j against 2(k - j + b_j) - (n - 1).  The supporting
-constructions assume n >= 2k + 2; in the small regimes n = 2k, 2k + 1 two
-documented index families have explicit deformations contradicting the
-arithmetic test, and those come back as ``disputed`` with a warning rather
-than as a clean verdict.
+integers: 2 x_j against 2(k - j + b_j) - (n - 1).  Where b_j is an a-part,
+no valid index meets that threshold exactly (proved in the tests).  The
+supporting constructions assume n >= 2k + 2; in the small regimes n = 2k,
+2k + 1 two documented index families have explicit deformations
+contradicting the arithmetic test, and those come back as ``disputed`` with
+a warning rather than as a clean verdict.
 
 ``find_nonrigid_witness`` searches for hard evidence: a restriction-variety
 diagram whose expansion is exactly the class but which omits the flag element
 the queried position asserts.  A diagram's dimension is read off the diagram
 (``diagram_dimension``) and every term of its expansion has that dimension,
 so only the diagrams of the class's dimension are candidates, and only they
-are enumerated (``enumerate_diagrams(k, n, dim)``): a diagram of another
-dimension is neither built nor expanded, and the search budget counts the
+are enumerated: ``_candidates`` keeps, per (k, n, dimension, bracket set),
+the tuple of those diagrams in canonical order, and the scan walks the
+bracket sets in ``bracket_sets`` order.  The search budget counts the
 diagrams of the class's dimension the scan reads.  A candidate whose
 derivation cannot reach the class (``can_reach``: brackets only move left,
 a quadric's d never rises, quadrics leave from the innermost end) is
-skipped unexpanded.  A candidate's engine error aborts the scan; no error
-is caught.
+skipped unexpanded; the others take their class from ``expand``, whose
+cache is the only store of classes.  A candidate's engine error aborts the
+scan; no error is caught.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain
 
 from .classsum import ClassSum
 from .degeneration import can_reach, expand
-from .diagrams import QuadricDiagram, enumerate_diagrams, print_diagram
+from .diagrams import QuadricDiagram, bracket_sets, diagrams_with, print_diagram
 from .errors import (
     EngineInvariantError,
     PositionOutOfRange,
     SearchBudgetExceeded,
     ValidationError,
 )
-from .grassmannian import NOT_ESSENTIAL, Verdict
+from .grassmannian import NOT_ESSENTIAL, Verdict, check_position
 from .orthogonal import (
     OgIndex,
     canonical_index,
@@ -63,7 +65,6 @@ WARN_NO_ESSENTIAL_B = "NO-ESSENTIAL-B"
 _RIGID = Verdict("rigid")
 _NOT_RIGID = Verdict("not_rigid")
 _NOT_RIGID_MT1 = Verdict("not_rigid", clause="MT-1")
-_NOT_RIGID_MT2 = Verdict("not_rigid", clause="MT-2")
 _DISPUTED_A_ON_B_THRESHOLD = Verdict(
     "disputed", note="rests on a b-side verdict at the contested threshold"
 )
@@ -177,14 +178,12 @@ def _b_boundary_disputed(x: OgIndex, j: int, xs: tuple) -> bool:
 def og_rigid_a(x: OgIndex, i: int) -> Verdict:
     """Verdict for a-position i.
 
-    Not rigid iff MT-1 or MT-2 fires; clause MT-2 needs a_i = b_j with
-    x_j = k - j + b_j - (n-1)/2 exactly (never for even n), tested as
-    2 x_j = 2(k - j + b_j) - (n - 1).  Verdicts that fall in a documented
+    Not rigid iff MT-1 fires.  Verdicts that fall in a documented
     small-regime conflict, or on the contested b-side threshold the
-    position's rigidity rests on, come back disputed.
+    position's rigidity rests on, come back disputed.  Raises
+    PositionOutOfRange unless i is an int in 1..s.
     """
-    if not (1 <= i <= x.s):
-        raise PositionOutOfRange(f"a-position {i} not in 1..{x.s}")
+    check_position("a-position", i, x.s)
     return _rigid_a(x, i, og_essential(x)[0], x_counts(x))
 
 
@@ -194,10 +193,10 @@ def og_rigid_b(x: OgIndex, j: int) -> Verdict:
     2 x_{j'} > 2(k - j' + b_{j'}) - (n - 1).
 
     A Rigid verdict earned only on the contested odd-n threshold (see
-    ``_b_boundary_disputed``) is downgraded to disputed.
+    ``_b_boundary_disputed``) is downgraded to disputed.  Raises
+    PositionOutOfRange unless j is an int in 1..len(b).
     """
-    if not (1 <= j <= len(x.b)):
-        raise PositionOutOfRange(f"b-position {j} not in 1..{len(x.b)}")
+    check_position("b-position", j, len(x.b))
     return _rigid_b(x, j, og_essential(x)[1], x_counts(x))
 
 
@@ -209,12 +208,8 @@ def _rigid_a(x: OgIndex, i: int, ess_a: set, xs: tuple) -> Verdict:
     if _mt1_fires(x, i):
         return _NOT_RIGID_MT1
     ai = x.a[i - 1]
-    if ai in x.b:
-        j = x.b.index(ai) + 1
-        if 2 * xs[j - 1] == _twice_threshold(x, j, ai):
-            return _NOT_RIGID_MT2
-        if _b_boundary_disputed(x, j, xs):
-            return _DISPUTED_A_ON_B_THRESHOLD
+    if ai in x.b and _b_boundary_disputed(x, x.b.index(ai) + 1, xs):
+        return _DISPUTED_A_ON_B_THRESHOLD
     note = _disputed_note(x, i)
     if note is not None:
         return Verdict("disputed", note=note)
@@ -332,81 +327,12 @@ def _omits_assertion(D: QuadricDiagram, cx: OgIndex, kind: str, idx: int) -> boo
     return any(q.d == cx.n - bj and q.r < bj for q in D.quadrics)
 
 
-class _DiagramMemo:
-    """The admissible diagrams of OG(k, n) of one dimension, in canonical
-    order, enumerated lazily: the list grows only as far as some scan has
-    read.
-
-    A scan that stops early (a witness found, a budget hit, an engine error)
-    leaves the rest unenumerated; enumerating eagerly would make such a scan
-    pay for every diagram of the dimension.  The fill is locked because scans
-    may share a memo across threads and a generator cannot be advanced from
-    two threads at once.
-
-    Each diagram has one class slot, filled by ``class_at`` the first time a
-    scan needs that diagram's class.  A failed expansion leaves its slot
-    empty, so the next scan expands the diagram again and raises afresh.
-    """
-
-    def __init__(self, k: int, n: int, dim: int):
-        self._k, self._n, self._dim = k, n, dim
-        self._items: list = []
-        self._classes: list = []
-        self._source = enumerate_diagrams(k, n, dim)
-        self._exhausted = False
-        self._lock = threading.Lock()
-
-    def _fill_to(self, i: int) -> bool:
-        """Enumerate up to item i; False when the dimension has fewer items."""
-        with self._lock:
-            while len(self._items) <= i and not self._exhausted:
-                try:
-                    D = next(self._source)
-                except StopIteration:
-                    self._exhausted = True
-                except BaseException:
-                    # an interrupted generator is finished for good; resume
-                    # from a fresh one so later scans still see every diagram
-                    self._source = islice(
-                        enumerate_diagrams(self._k, self._n, self._dim),
-                        len(self._items),
-                        None,
-                    )
-                    raise
-                else:
-                    # the slot first: a reader that sees item i sees it
-                    self._classes.append(None)
-                    self._items.append(D)
-            return len(self._items) > i
-
-    def __iter__(self):
-        i = 0
-        while i < len(self._items) or self._fill_to(i):
-            yield self._items[i]
-            i += 1
-
-    def class_at(self, i: int) -> ClassSum:
-        """The class of item i, expanded through ``expand`` on first use and
-        kept from then on.  ``expand``'s entry check is the one admissibility
-        check an item gets: the enumerator yields admissible diagrams by
-        construction and checks none.  An ``EngineInvariantError`` is raised
-        again with the item named.  Unlocked: two threads may both expand one
-        diagram, and both store the same class."""
-        cls = self._classes[i]
-        if cls is None:
-            D = self._items[i]
-            try:
-                cls = self._classes[i] = expand(D)
-            except EngineInvariantError as exc:
-                raise EngineInvariantError(
-                    f"{exc} (while expanding scan candidate {print_diagram(D)})"
-                ) from exc
-        return cls
-
-
 @lru_cache(maxsize=None)
-def _admissible_diagrams(k: int, n: int, dim: int) -> _DiagramMemo:
-    return _DiagramMemo(k, n, dim)
+def _candidates(k: int, n: int, dim: int, brackets: tuple) -> tuple:
+    """The admissible diagrams of OG(k, n) of dimension dim on one bracket
+    set, in canonical order.  Two threads may both build one tuple, and get
+    equal ones; an interrupted build stores nothing."""
+    return tuple(diagrams_with(k, n, brackets, dim))
 
 
 def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
@@ -427,8 +353,8 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
     PositionOutOfRange unless the position is a pair of "a" or "b" and an
     int in range, and ValidationError unless the budget is a nonnegative
     int (SRK_SEARCH_BUDGET an integer).
-    The admissible diagrams of each (k, n, dimension) a scan has read, and
-    each class a scan has expanded, are kept for the life of the process.
+    Candidates are built and kept for the life of the process one bracket
+    set at a time, so a scan that stops builds the rest of its bracket set.
     """
     try:
         kind, idx = position
@@ -438,11 +364,7 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
         ) from None
     if kind not in ("a", "b"):
         raise PositionOutOfRange(f"position kind must be 'a' or 'b', got {kind!r}")
-    if not isinstance(idx, int) or isinstance(idx, bool):
-        raise PositionOutOfRange(f"position index must be an int, got {idx!r}")
-    limit = len(x.a) if kind == "a" else len(x.b)
-    if not (1 <= idx <= limit):
-        raise PositionOutOfRange(f"{kind}-position {idx} not in 1..{limit}")
+    check_position(f"{kind}-position", idx, len(x.a) if kind == "a" else len(x.b))
     if budget is None:
         raw = os.environ.get("SRK_SEARCH_BUDGET", DEFAULT_SEARCH_BUDGET)
         try:
@@ -460,14 +382,19 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
         # the boundary condition is really the primed bracket of the rewrite
         kind, idx = "a", cx.s
     target = ClassSum.single(cx)
-    memo = _admissible_diagrams(x.k, x.n, og_dimension(cx))
-    for i, D in enumerate(memo):
+    dim = og_dimension(cx)
+    chunks = (_candidates(x.k, x.n, dim, b) for b in bracket_sets(x.k, x.n))
+    for i, D in enumerate(chain.from_iterable(chunks)):
         if i >= budget:
             raise SearchBudgetExceeded(f"witness search passed {budget} diagrams")
-        if (
-            _omits_assertion(D, cx, kind, idx)
-            and can_reach(D, cx)
-            and memo.class_at(i) == target
-        ):
+        if not (_omits_assertion(D, cx, kind, idx) and can_reach(D, cx)):
+            continue
+        try:
+            cls = expand(D)
+        except EngineInvariantError as exc:
+            raise EngineInvariantError(
+                f"{exc} (while expanding scan candidate {print_diagram(D)})"
+            ) from exc
+        if cls == target:
             return D
     return None

@@ -139,6 +139,39 @@ def test_catalog_schema_error_carries_line(tmp_path):
     assert exc.value.line == 3 and "'colour'" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "space,field,value",
+    [
+        ("OG", "k", "two"),
+        ("OG", "a", {"x": 1}),
+        ("OG", "class_rigid", "maybe"),
+        ("OG", "prime", "yes"),
+        ("OG", "n", -5),
+        ("OG", "dim", 2.0),
+        ("OG", "warnings", [1]),
+        ("OG", "space", "SP"),
+        ("OG", "envelope", [1, 2]),
+        ("OG", "rigid_b", None),
+        ("OG", "b", [2]),
+        ("OG", "a", [2, 1]),
+        ("G", "prime", False),
+        ("G", "a", [1, 9]),
+    ],
+)
+def test_catalog_schema_error_names_a_bad_value(tmp_path, space, field, value):
+    if space == "OG":
+        rec = build_record(validate_og(2, 8, [3], [1]))
+    else:
+        rec = build_record(validate_gr(2, 5, [1, 3]))
+    bad = json.loads(rec.to_json_line())
+    bad[field] = value
+    p = tmp_path / "bad.jsonl"
+    p.write_text(rec.to_json_line() + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(SchemaError) as exc:
+        read_catalog(p)
+    assert exc.value.line == 2 and repr(field) in str(exc.value)
+
+
 def test_cli_classify_human():
     out = run_cli("classify", "--space", "og", "--k", "2", "--n", "6", "--a", "1", "--b", "1")
     assert out.returncode == 0

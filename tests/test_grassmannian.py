@@ -119,8 +119,9 @@ def test_rigid_index_examples():
     assert gr_rigid_index(x, 3).token() == "rigid:G-1"
     assert gr_rigid_index(validate_gr(2, 5, [2, 4]), 1).kind == "not_rigid"
     assert gr_rigid_index(validate_gr(3, 8, [2, 3, 7]), 1).kind == "not_essential"
-    with pytest.raises(PositionOutOfRange):
-        gr_rigid_index(x, 4)
+    for position in (4, 0, True, 1.0, "1"):
+        with pytest.raises(PositionOutOfRange):
+            gr_rigid_index(x, position)
 
 
 def test_rigid_class_examples():

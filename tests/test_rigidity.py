@@ -5,7 +5,6 @@ import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
 
 import pytest
 
@@ -30,8 +29,9 @@ from srk import (
     x_counts,
     z_counts,
 )
-from srk import rigidity
-from srk.degeneration import can_reach
+from srk import degeneration, rigidity
+from srk.degeneration import _expand_cached, can_reach
+from srk.diagrams import bracket_sets, diagrams_with
 from srk.errors import (
     EngineInvariantError,
     PositionOutOfRange,
@@ -54,8 +54,10 @@ def test_rigid_a_examples():
     assert og_rigid_a(validate_og(3, 7, [2, 3], [0]), 2).kind == "rigid"
     v = og_rigid_a(validate_og(3, 7, [1, 2], [2]), 2)
     assert v.kind == "disputed" and v.note
-    with pytest.raises(PositionOutOfRange):
-        og_rigid_a(validate_og(2, 6, [1], [1]), 2)
+    x = validate_og(2, 6, [1], [1])
+    for position in (2, 0, True, 1.0, "1"):
+        with pytest.raises(PositionOutOfRange):
+            og_rigid_a(x, position)
 
 
 def test_rigid_a_clauses():
@@ -65,11 +67,43 @@ def test_rigid_a_clauses():
     assert og_rigid_a(validate_og(2, 8, [1, 2], []), 1).kind == "not_essential"
 
 
+def test_a_part_equal_to_b_j_never_meets_the_threshold():
+    """At every b_j among the a-parts, 2 x_j != 2(k - j + b_j) - (n - 1).
+
+    So no a-side clause can fire on that equality, and
+    ``>`` and ``>=`` agree at B-RIGID and at ``classify_og``'s first
+    condition.  Proof (derived here): let v = b_j = a_i.  Equality needs n
+    odd, n = 2m + 1, and then x_j = k - j + v - m.  The parts above v number
+    (s - x_j) a-parts plus (k - s - j) b-parts, k - j - x_j = m - v in all.
+    The a-parts above v lie in v + 2..m: a_i <= n/2, and a part v + 1 would
+    be b_j + 1.  Each b-part above v is at most m - 1 (2 b <= n - 2), so its
+    successor lies in v + 2..m too, and differs from every a-part, since no
+    a-part is a b-part plus one.  Both sets of values are disjoint in a
+    range of m - v - 1 values, so at most m - v - 1 parts lie above v.
+
+    Checked without the engine over k <= 7, 2k <= n <= 18.
+    """
+    pairs = 0
+    for k in range(1, 8):
+        for n in range(2 * k, 19):
+            for x in enumerate_og(k, n):
+                for j, bj in enumerate(x.b, start=1):
+                    if bj in x.a:
+                        xj = sum(1 for av in x.a if av <= bj)
+                        assert 2 * xj != 2 * (k - j + bj) - (n - 1), (x, j)
+                        pairs += 1
+    assert pairs > 10_000
+
+
 def test_rigid_b_examples():
     assert og_rigid_b(validate_og(2, 6, [1], [1]), 1).token() == "rigid:B-RIGID"
     assert og_rigid_b(validate_og(2, 9, [2], [3]), 1).kind == "not_rigid"
     assert og_rigid_b(validate_og(3, 7, [1, 2], [2]), 1).kind == "rigid"
     assert og_rigid_b(validate_og(2, 6, [2], [0]), 1).kind == "not_essential"
+    x = validate_og(2, 6, [1], [1])
+    for position in (2, 0, True, 1.0, "1"):
+        with pytest.raises(PositionOutOfRange):
+            og_rigid_b(x, position)
 
 
 def test_rigid_b_contested_threshold_is_disputed():
@@ -287,55 +321,76 @@ def test_budget_counts_the_same_on_a_warm_memo():
         find_nonrigid_witness(x, pos, budget=count - 1)
 
 
-def test_diagram_memo_resumes_where_a_scan_stopped():
-    full = list(enumerate_diagrams(2, 8, 5))
-    assert len(full) > 5
-    memo = rigidity._DiagramMemo(2, 8, 5)
-    assert list(islice(memo, 5)) == full[:5]
-    inner = iter(memo)
-    assert list(islice(inner, 3)) == full[:3]
-    assert list(memo) == full
-    assert list(inner) == full[3:]
-    assert list(memo) == full
+@pytest.fixture
+def fresh_caches():
+    """Empty the scan's candidate cache and ``expand``'s class cache, before
+    the test and after it."""
+    rigidity._candidates.cache_clear()
+    _expand_cached.cache_clear()
+    yield
+    rigidity._candidates.cache_clear()
+    _expand_cached.cache_clear()
 
 
-def test_diagram_memo_survives_an_interrupted_fill():
-    # the resumed fill must enumerate the memo's own dimension: the rest of
-    # the whole space differs from the rest of the dimension
-    dim = 5
-    full = list(enumerate_diagrams(2, 8, dim))
-    assert list(enumerate_diagrams(2, 8))[4 : len(full)] != full[4:]
-    memo = rigidity._DiagramMemo(2, 8, dim)
+def _assert_cached_chunks_complete(k, n, dim):
+    """Every chunk of (k, n, dim), cached or not, is the whole bracket set's
+    enumeration, and the chunks in ``bracket_sets`` order are the whole
+    dimension's."""
+    chunks = [rigidity._candidates(k, n, dim, b) for b in bracket_sets(k, n)]
+    for b, chunk in zip(bracket_sets(k, n), chunks):
+        assert chunk == tuple(diagrams_with(k, n, b, dim)), (k, n, dim, b)
+    assert [D for chunk in chunks for D in chunk] == list(enumerate_diagrams(k, n, dim))
 
-    def interrupted():
-        yield from full[:4]
-        raise KeyboardInterrupt
 
-    memo._source = interrupted()
+def test_stopped_scan_does_not_truncate_later_scans(fresh_caches):
+    x, pos = validate_og(2, 9, [2], [3]), ("b", 1)
+    count, witness = _reference_scan(x, pos)
+    assert count > 1
+    for budget in range(count):
+        with pytest.raises(SearchBudgetExceeded):
+            find_nonrigid_witness(x, pos, budget=budget)
+    assert find_nonrigid_witness(x, pos) == witness
+    _assert_cached_chunks_complete(2, 9, og_dimension(x))
+
+
+def test_interrupted_chunk_is_not_cached(fresh_caches, monkeypatch):
+    # the first nonempty chunk is interrupted after one diagram: the empty
+    # chunks before it are cached, it is not, and the next scan reads it whole
+    x, pos = validate_og(2, 9, [2], [3]), ("b", 1)
+    count, witness = _reference_scan(x, pos)
+    real = rigidity.diagrams_with
+    built = []
+
+    def interrupted(*args):
+        chunk = list(real(*args))
+        built.append(chunk)
+        if chunk:
+            yield chunk[0]
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(rigidity, "diagrams_with", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        list(memo)
-    assert list(memo) == full
+        find_nonrigid_witness(x, pos)
+    assert len(built[-1]) > 1 and not any(built[:-1])
+    assert rigidity._candidates.cache_info().currsize == len(built) - 1
+    monkeypatch.setattr(rigidity, "diagrams_with", real)
+    assert find_nonrigid_witness(x, pos, budget=count) == witness
+    with pytest.raises(SearchBudgetExceeded):
+        find_nonrigid_witness(x, pos, budget=count - 1)
+    _assert_cached_chunks_complete(2, 9, og_dimension(x))
 
 
-def _fresh_memos(monkeypatch):
-    """Give every (k, n, dimension) a fresh memo, one that every thread
-    shares; returns the memos by key."""
-    memos = {}
-
-    def memo_for(k, n, dim):
-        key = (k, n, dim)
-        if key not in memos:
-            memos.setdefault(key, rigidity._DiagramMemo(k, n, dim))
-        return memos[key]
-
-    monkeypatch.setattr(rigidity, "_admissible_diagrams", memo_for)
-    return memos
+@pytest.mark.parametrize("k", range(1, 5))
+def test_candidate_chunks_join_to_the_enumeration(fresh_caches, k):
+    for n in range(2 * k, 12):
+        dims = {diagram_dimension(D) for D in enumerate_diagrams(k, n)}
+        for dim in range(-1, max(dims) + 2):
+            _assert_cached_chunks_complete(k, n, dim)
 
 
-def test_witness_scan_shared_by_two_threads(monkeypatch):
-    answers = _reference_answers(2, 9)
-    memos = _fresh_memos(monkeypatch)
-    start = threading.Barrier(2, timeout=30)
+def _sweep_in_threads(answers, workers):
+    """Every worker sweeps every query at once; their outcomes."""
+    start = threading.Barrier(workers, timeout=30)
 
     def sweep():
         start.wait()
@@ -344,84 +399,82 @@ def test_witness_scan_shared_by_two_threads(monkeypatch):
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [pool.submit(sweep) for _ in range(2)]
-            results = [f.result(timeout=60) for f in futures]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(sweep) for _ in range(workers)]
+            return [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(old)
-    want = [outcome for _, outcome in answers]
-    assert results == [want, want]
-    assert memos
-    for (k, n, dim), memo in memos.items():
-        assert memo._items == list(enumerate_diagrams(k, n, dim))[: len(memo._items)]
 
 
-# --- each diagram's class is expanded once per process -----------------------
-
-
-def _counting_expand(monkeypatch):
-    """Give every (k, n, dimension) a fresh memo and record every diagram
-    the scan expands."""
-    _fresh_memos(monkeypatch)
-    seen = []
-    real = rigidity.expand
-
-    def counting(D):
-        seen.append(D)
-        return real(D)
-
-    monkeypatch.setattr(rigidity, "expand", counting)
-    return seen
-
-
-def test_class_slots_shared_by_four_threads(monkeypatch):
-    # four threads sweep one fresh memo: two of them may both expand a
-    # diagram, but every stored class must be that diagram's own
+def test_witness_scan_shared_by_two_threads(fresh_caches):
     answers = _reference_answers(2, 9)
-    memos = _fresh_memos(monkeypatch)
-    start = threading.Barrier(4, timeout=30)
-
-    def sweep():
-        start.wait()
-        return [_outcome(find_nonrigid_witness, x, pos) for (x, pos), _ in answers]
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(sweep) for _ in range(4)]
-            results = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(old)
     want = [outcome for _, outcome in answers]
-    assert results == [want] * 4
-    stored = []
-    for (_, _, dim), memo in memos.items():
-        assert len(memo._classes) == len(memo._items)
-        assert all(diagram_dimension(D) == dim for D in memo._items)
-        stored += [(D, c) for D, c in zip(memo._items, memo._classes) if c is not None]
-    assert stored and all(c == expand(D) for D, c in stored)
+    assert _sweep_in_threads(answers, 2) == [want, want]
+    for dim in {og_dimension(x) for (x, _), _ in answers}:
+        _assert_cached_chunks_complete(2, 9, dim)
 
 
-def test_repeated_witness_query_expands_nothing(monkeypatch):
-    seen = _counting_expand(monkeypatch)
+def test_witness_caches_shared_by_four_threads(fresh_caches):
+    # four threads sweep cold caches: two of them may both build a chunk or
+    # derive a class, but every stored chunk is whole and every stored class
+    # is the diagram's own
+    answers = _reference_answers(2, 9)
+    want = [outcome for _, outcome in answers]
+    assert _sweep_in_threads(answers, 4) == [want] * 4
+    classes = 0
+    for dim in {og_dimension(x) for (x, _), _ in answers}:
+        _assert_cached_chunks_complete(2, 9, dim)
+        for b in bracket_sets(2, 9):
+            for D in rigidity._candidates(2, 9, dim, b):
+                if _traced(D) is not None:
+                    assert expand(D) == _traced(D)
+                    classes += 1
+    assert classes
+
+
+# --- each diagram's class is derived once per process -------------------------
+
+
+def _recording(monkeypatch):
+    """Record every diagram the scan passes to ``expand``, and every diagram
+    whose class is derived rather than read from ``expand``'s cache."""
+    expanded, derived = [], []
+    real_expand, real_node = rigidity.expand, degeneration._expand_node
+
+    def counting_expand(D):
+        expanded.append(D)
+        return real_expand(D)
+
+    def counting_node(node, push, traced):
+        if not traced:
+            derived.append(node.diagram)
+        return real_node(node, push, traced)
+
+    monkeypatch.setattr(rigidity, "expand", counting_expand)
+    monkeypatch.setattr(degeneration, "_expand_node", counting_node)
+    return expanded, derived
+
+
+def test_repeated_witness_query_expands_nothing(fresh_caches):
     x, pos = validate_og(2, 9, [2], [3]), ("b", 1)
     witness = find_nonrigid_witness(x, pos)
-    assert witness is not None and seen
-    seen.clear()
+    misses = _expand_cached.cache_info().misses
+    assert witness is not None and misses
     assert find_nonrigid_witness(x, pos) == witness
-    assert seen == []
+    assert _expand_cached.cache_info().misses == misses
 
 
-def test_second_query_expands_only_diagrams_the_first_did_not(monkeypatch):
-    # in OG(2, 9) and OG(3, 8..10), these two are the only witness queries
-    # whose expanded candidates overlap without one set holding the other
-    seen = _counting_expand(monkeypatch)
-    first = (validate_og(3, 9, [1], [1, 3]), ("b", 2))
-    second = (validate_og(3, 9, [3, 4], [1]), ("b", 1))
+def test_second_query_expands_only_diagrams_the_first_did_not(fresh_caches, monkeypatch):
+    # in OG(2, 9) and OG(3, 8..10), this is one of the two ordered pairs of
+    # witness queries where the first derives some, not all, of the second's
+    # expanded candidates (each on cold caches)
+    expanded, derived = _recording(monkeypatch)
+    first = (validate_og(3, 9, [3, 4], [1]), ("b", 1))
+    second = (validate_og(3, 9, [1], [1, 3]), ("b", 2))
     assert find_nonrigid_witness(*first) is not None
-    reached = set(seen)
-    seen.clear()
+    reached = set(derived)
+    expanded.clear()
+    derived.clear()
     witness = find_nonrigid_witness(*second)
     count, want = _reference_scan(*second)
     assert witness == want
@@ -431,14 +484,17 @@ def test_second_query_expands_only_diagrams_the_first_did_not(monkeypatch):
         D for D in list(enumerate_diagrams(3, 9, og_dimension(cx)))[:count]
         if rigidity._omits_assertion(D, cx, kind, idx) and can_reach(D, cx)
     ]
-    assert seen == [D for D in needed if D not in reached]
-    assert seen and len(seen) < len(needed)
+    assert expanded == needed
+    assert not reached & set(derived)
+    fresh = [D for D in needed if D not in reached]
+    assert {D for D in derived if D in set(needed)} == set(fresh)
+    assert fresh and len(fresh) < len(needed)
 
 
-def test_witness_query_expands_only_diagrams_of_its_dimension(monkeypatch):
+def test_witness_query_expands_only_diagrams_of_its_dimension(fresh_caches, monkeypatch):
     # every term of an expansion has the diagram's dimension, so a candidate
     # of another dimension is never expanded
-    seen = _counting_expand(monkeypatch)
+    seen, _ = _recording(monkeypatch)
     queries = expanded = 0
     for x in enumerate_og(3, 9):
         rep = classify_og(x)
@@ -453,23 +509,27 @@ def test_witness_query_expands_only_diagrams_of_its_dimension(monkeypatch):
     assert queries > 10 and expanded > queries
 
 
-def test_failing_witness_query_expands_its_diagram_each_time(monkeypatch):
-    # failures are not stored: the diagram whose expansion left the
-    # admissible family is expanded again and raises afresh
-    seen = _counting_expand(monkeypatch)
+def test_failing_witness_query_expands_its_diagram_each_time(fresh_caches, monkeypatch):
+    # failures are not stored: the candidate whose derivation left the
+    # admissible family is derived again and raises afresh, while the
+    # candidates before it take their classes from the cache
+    expanded, derived = _recording(monkeypatch)
     x, pos = validate_og(4, 12, [2, 6], [3, 4]), ("a", 1)
-    errors, expanded = [], []
+    errors, candidates, roots = [], [], []
     for _ in range(2):
         with pytest.raises(SrkError) as err:
             find_nonrigid_witness(x, pos)
         errors.append((type(err.value), str(err.value)))
-        expanded.append(list(seen))
-        seen.clear()
+        candidates.append(list(expanded))
+        roots.append([D for D in derived if D in set(expanded)])
+        expanded.clear()
+        derived.clear()
     assert errors[0] == errors[1]
     assert errors[0][0] is EngineInvariantError
     assert errors[0][1].startswith("244000}0}0}0}000 fails")
     assert errors[0][1].endswith("(while expanding scan candidate 344000}0}0}0}000)")
-    first, again = expanded
+    first, again = candidates
     assert print_diagram(first[-1]) == "344000}0}0}0}000"
     assert len(first) > 1 and len(set(first)) == len(first)
-    assert again == first[-1:]
+    assert again == first
+    assert roots[0] == first and roots[1] == first[-1:]
