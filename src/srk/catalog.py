@@ -11,8 +11,8 @@ orders.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import CatalogIOError, NoIsotropicRoom, OutOfBounds, SchemaError, ValidationError
 from .grassmannian import (
@@ -29,6 +29,8 @@ from .rigidity import classify_og
 
 def enumerate_gr(k: int, n: int):
     """Every Schubert index of G(k,n), lexicographically."""
+    if type(k) is not int or type(n) is not int:
+        raise OutOfBounds(f"k and n must be ints, got k={k!r}, n={n!r}")
     if not (1 <= k <= n):
         raise OutOfBounds(f"need 1 <= k <= n, got k={k}, n={n}")
     for a in combinations(range(1, n + 1), k):
@@ -40,32 +42,31 @@ def enumerate_og(k: int, n: int):
 
     s runs over 0..k, primed variants are included, indices with
     a_i = b_j + 1 (unions of two Schubert varieties) are excluded, and
-    even-n synonyms with b_{k-s} = n/2 - 1 are skipped in favor of their
-    primed-bracket form.
+    even-n synonyms with b_{k-s} = n/2 - 1 are not generated: their
+    primed-bracket form is.
     """
+    if type(k) is not int or type(n) is not int:
+        raise OutOfBounds(f"k and n must be ints, got k={k!r}, n={n!r}")
     if k < 1:
         raise OutOfBounds(f"need k >= 1, got {k}")
     if n < 2 * k:
         raise NoIsotropicRoom(f"OG({k},{n}): need n >= 2k")
     half = n // 2
-    b_top = (n - 2) // 2
+    # b_j <= n/2 - 1, and for even n b_j = n/2 - 1 is a primed bracket
+    b_top = (n - 3) // 2
     for s in range(0, k + 1):
         for a in combinations(range(1, half + 1), s):
             splits = {av - 1 for av in a}  # b_j = a_i - 1 splits the locus
             primes = [False]
-            if s and n % 2 == 0 and 2 * a[-1] == n:
+            if s and 2 * a[-1] == n:
                 primes.append(True)
             for prime in primes:
                 for b in combinations(range(0, b_top + 1), k - s):
-                    if not splits.isdisjoint(b):
-                        continue
-                    if n % 2 == 0 and b and b[-1] == n // 2 - 1:
-                        continue
-                    yield OgIndex(k, n, a, b, prime)
+                    if splits.isdisjoint(b):
+                        yield OgIndex(k, n, a, b, prime)
 
 
-@dataclass(frozen=True)
-class CatalogRecord:
+class CatalogRecord(NamedTuple):
     """One classified index; ``envelope`` is set only for G, the b-side
     fields only for OG."""
 
@@ -98,15 +99,13 @@ class CatalogRecord:
 
     def to_json_line(self) -> str:
         out = {}
-        for name in _FIELD_NAMES:
-            value = getattr(self, name)
+        for name, value in zip(self._fields, self):
             out[name] = list(value) if isinstance(value, tuple) else value
         return _ENCODER.encode(out)
 
 
 # A record's JSON keys, in line order; ``read_catalog`` wants exactly these.
-_FIELD_NAMES = tuple(f.name for f in fields(CatalogRecord))
-_FIELD_SET = frozenset(_FIELD_NAMES)
+_FIELD_SET = frozenset(CatalogRecord._fields)
 # One compact encoder for every line; ``json.dumps`` with ``separators``
 # would build a new one per call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -197,7 +196,7 @@ _FIELD_TYPES = {
 _SPACE_TYPES = {
     space: tuple(
         (name, type(None), None) if name in nulls else (name, *_FIELD_TYPES[name])
-        for name in _FIELD_NAMES
+        for name in CatalogRecord._fields
     )
     for space, nulls in (("G", ("b", "prime", "essential_b", "rigid_b")), ("OG", ("envelope",)))
 }
@@ -212,12 +211,12 @@ def _record_from_dict(obj: dict, line_no: int) -> CatalogRecord:
     space = obj["space"]
     if space not in ("G", "OG"):
         raise SchemaError(line_no, f"field 'space' has a bad value {space!r}")
-    kwargs = {}
+    values = []
     for name, kind, item in _SPACE_TYPES[space]:
         value = obj[name]
         if type(value) is not kind or item and any(type(e) is not item for e in value):
             raise SchemaError(line_no, f"field {name!r} has a bad value {value!r}")
-        kwargs[name] = tuple(value) if kind is list else value
+        values.append(tuple(value) if kind is list else value)
     try:
         if space == "OG":
             OgIndex(obj["k"], obj["n"], obj["a"], obj["b"], obj["prime"])
@@ -225,11 +224,7 @@ def _record_from_dict(obj: dict, line_no: int) -> CatalogRecord:
             GrIndex(obj["k"], obj["n"], obj["a"])
     except ValidationError as exc:
         raise SchemaError(line_no, f"fields 'k', 'n', 'a', 'b', 'prime': {exc}") from None
-    # every field is checked, so fill the frozen record's dict directly, as
-    # its generated __init__ would, at a tenth of the cost
-    rec = object.__new__(CatalogRecord)
-    rec.__dict__.update(kwargs)
-    return rec
+    return CatalogRecord(*values)
 
 
 def read_catalog(path):

@@ -45,14 +45,18 @@ def _build_parser():
         "pushforward, and rigidity classification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    space = argparse.ArgumentParser(add_help=False)
+    space.add_argument("--space", choices=["g", "og"], required=True)
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--k", type=int, required=True)
+    size.add_argument("--n", type=int, required=True)
+    # an index: the size, then the parts; a missing --b is the empty list
+    index = argparse.ArgumentParser(add_help=False, parents=[size])
+    index.add_argument("--a", required=True, help="comma-separated list, or - for empty")
+    index.add_argument("--b", default=None)
+    index.add_argument("--prime", action="store_true")
 
-    p = sub.add_parser("classify", help="rigidity report for one index")
-    p.add_argument("--space", choices=["g", "og"], required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", required=True, help="comma-separated list, or - for empty")
-    p.add_argument("--b", default=None)
-    p.add_argument("--prime", action="store_true")
+    p = sub.add_parser("classify", parents=[space, index], help="rigidity report for one index")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("expand", help="expand a diagram into Schubert classes")
@@ -61,36 +65,19 @@ def _build_parser():
     p.add_argument("--trace", action="store_true")
     p.add_argument("--merge-primes", action="store_true")
 
-    p = sub.add_parser("pushforward", help="class in G(k,n) of an OG index")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", default=None)
-    p.add_argument("--prime", action="store_true")
+    sub.add_parser("pushforward", parents=[index], help="class in G(k,n) of an OG index")
 
-    p = sub.add_parser("enumerate", help="classify a whole space into a catalog")
-    p.add_argument("--space", choices=["g", "og"], required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser(
+        "enumerate", parents=[space, size], help="classify a whole space into a catalog"
+    )
     p.add_argument("--filter", choices=["rigid", "nonrigid", "all"], default="all")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("witness", help="search a non-rigidity witness diagram")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--prime", action="store_true")
+    p = sub.add_parser("witness", parents=[index], help="search a non-rigidity witness diagram")
     p.add_argument("--position", required=True, metavar="{a|b}:I")
     p.add_argument("--budget", type=int, default=None)
 
-    p = sub.add_parser("dim", help="dimension of a Schubert variety")
-    p.add_argument("--space", choices=["g", "og"], required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", default=None)
-    p.add_argument("--prime", action="store_true")
+    sub.add_parser("dim", parents=[space, index], help="dimension of a Schubert variety")
 
     p = sub.add_parser("parse", help="parse a diagram and print its canonical form")
     p.add_argument("text")

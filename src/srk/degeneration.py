@@ -8,8 +8,8 @@ last drops, and produces one or both of
          again and slide the kappa-th brace one step left; if (A1) fails the
          rank-<=-2 quadric degenerates into a pair of linear spaces, so the
          brace becomes a bracket one position to the left (two copies, the
-         second primed when the new rightmost bracket sits at position m/2
-         of an even ambient);
+         second primed when the new rightmost bracket sits at position m/2;
+         never in pushforward mode, whose ambient 2m+1 is odd);
   D^b -- in D^a, move the leftmost bracket lying right of position
          r_kappa + 1 onto that position, then repair (A2) by repeatedly
          demoting the digit at the offending bracket and sliding the matching
@@ -58,6 +58,7 @@ results may be cached and shared across threads.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -66,6 +67,7 @@ from .diagrams import (
     Bracket,
     Quadric,
     QuadricDiagram,
+    _a2_bracket,
     check_conditions,
     print_diagram,
 )
@@ -180,22 +182,23 @@ def _fix_a2(cur: QuadricDiagram, kap: int):
     return _try_build(cur.m, cur.brackets, nq)
 
 
-def _split_a1(cur: QuadricDiagram, ambient: int):
+def _split_a1(cur: QuadricDiagram, push: bool):
     """Degenerate the innermost quadric into a bracket one position left;
-    returns the two copies, the second primed when the rule applies, or None
-    when the new bracket does not fit."""
+    returns the two copies, or None when the new bracket does not fit.
+    Outside pushforward mode the second copy is primed when the new bracket
+    sits at m/2."""
     brackets = sorted(cur.brackets + (Bracket(cur.quadrics[-1].d - 1, False),))
     base = _try_build(cur.m, brackets, cur.quadrics[:-1])
     if base is None:
         return None
     second = base
-    if ambient % 2 == 0 and 2 * base.brackets[-1].dim == ambient:
+    if not push and 2 * base.brackets[-1].dim == cur.m:
         primed = base.brackets[:-1] + (Bracket(base.brackets[-1].dim, True),)
         second = QuadricDiagram(base.m, primed, base.quadrics)
     return base, second
 
 
-def _algorithm1(Da: QuadricDiagram, kap: int, ambient: int, node: TraceNode, rep=None):
+def _algorithm1(Da: QuadricDiagram, kap: int, push: bool, node: TraceNode, rep=None):
     """D^a, recorded under ``node``, and its repair loop, which starts from
     D^a's report ``rep`` when the caller has one; returns the surviving
     (diagram, trace node) pairs."""
@@ -217,7 +220,7 @@ def _algorithm1(Da: QuadricDiagram, kap: int, ambient: int, node: TraceNode, rep
                 cur, cur_node, rep = fixed, _grow(cur_node, fixed, "FixA2"), None
                 continue
             if not _cond(rep, "A1"):
-                pair = _split_a1(cur, ambient)
+                pair = _split_a1(cur, push)
                 if pair is None:
                     _grow(cur_node, None, "Discard", "structural collision while splitting (A1)")
                     break
@@ -243,8 +246,7 @@ def derive_and_fix_a(D: QuadricDiagram, pushforward: bool = False):
     """Diagrams derived from D^a: usually 0, 1, or 2 of them."""
     _entry_check(D)
     kap = kappa(D, pushforward)
-    ambient = 2 * D.m + 1 if pushforward else D.m
-    pairs = _algorithm1(_bump(D, kap), kap, ambient, TraceNode(D, "Root"))
+    pairs = _algorithm1(_bump(D, kap), kap, pushforward, TraceNode(D, "Root"))
     return [d for d, _ in pairs]
 
 
@@ -252,15 +254,9 @@ def _algorithm2(Db: QuadricDiagram, node: TraceNode):
     """Repair loop for D^b; returns [(diagram, node)] or []."""
     cur, cur_node = Db, node
     for _ in range(4 * Db.m + 8):
-        viols = [
-            v
-            for v in cur.bracket_dims
-            for r in cur.rs
-            if v - r == 1
-        ]
-        if not viols:
+        p = _a2_bracket(cur)
+        if p is None:
             break
-        p = min(viols)
         # no bracket sits at r_q + 1, so p <= r_q and the digit i at p is at
         # least 2; p = r_j + 1 and r_{i-1} < p <= r_i force r_{i-1} = p - 1
         built = _fix_a2(cur, cur.digit_at(p) - 1)
@@ -303,10 +299,9 @@ def _step(node: TraceNode, push: bool):
     returns the branch decision and the (child, child node) pairs."""
     D = node.diagram
     kap = kappa(D, push)
-    ambient = 2 * D.m + 1 if push else D.m
     r_kap = D.quadrics[kap - 1].r
-    dims = D.bracket_dims
-    x_kap = sum(1 for v in dims if v <= r_kap)
+    dims, rs = D.bracket_dims, D.rs
+    x_kap = bisect_right(dims, r_kap)
     n_s = dims[-1] if dims else 0
     n_s_le_r = n_s <= r_kap
 
@@ -315,9 +310,9 @@ def _step(node: TraceNode, push: bool):
     ambiguous = False
     if not n_s_le_r:
         n_next = dims[x_kap]  # x_kap < s here
-        below = [j for j in range(1, D.q + 1) if D.rs[j - 1] <= n_next]
-        y_all = max(below)
-        y_kap = y_all if any(r >= n_next for r in D.rs) else D.q + 1
+        # the largest j with r_j <= n_next; r_1 <= r_kappa < n_next, so j >= 1
+        y_all = bisect_right(rs, n_next)
+        y_kap = y_all if rs[-1] >= n_next else D.q + 1
         gap = n_next - r_kap - 1
         gap_test = gap > y_kap - kap
         ambiguous = gap_test != (gap > y_all - kap)
@@ -325,13 +320,13 @@ def _step(node: TraceNode, push: bool):
     Da = _bump(D, kap)
     if n_s_le_r or gap_test:
         chosen = "DaOnly"
-        pairs = _algorithm1(Da, kap, ambient, node)
+        pairs = _algorithm1(Da, kap, push, node)
     elif not _cond(rep := check_conditions(Da), "A3"):
         chosen = "DbOnly"
         pairs = _derive_b(Da, kap, node)
     else:
         chosen = "Both"
-        pairs = _algorithm1(Da, kap, ambient, node, rep) + _derive_b(Da, kap, node)
+        pairs = _algorithm1(Da, kap, push, node, rep) + _derive_b(Da, kap, node)
     node.note = f"κ={kap} x={x_kap} y={y_kap} → {chosen}"
     if ambiguous:
         node.note += " (y-guard readings disagree)"

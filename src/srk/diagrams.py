@@ -108,6 +108,8 @@ class QuadricDiagram:
             q=q,
             k=s + q,
         )
+        if type(m) is not int:
+            raise OutOfBounds(f"m must be an int, got {m!r}")
         if m < 1:
             raise InvalidDiagram(f"need m >= 1, got {m}")
         if not s and not q:
@@ -152,10 +154,6 @@ class QuadricDiagram:
                     raise InvalidDiagram(
                         f"bracket {top} cannot lie isotropically inside Q_{d}^{r}"
                     )
-
-    @property
-    def sort_key(self):
-        return (self.s, self.brackets, self.quadrics)
 
     def digit_at(self, pos: int) -> int:
         """Digit at 1-based position pos: the j with r_{j-1} < pos <= r_j."""
@@ -202,6 +200,16 @@ def x_profile(D: QuadricDiagram) -> tuple:
     """x_j = number of brackets with n_i <= r_j."""
     dims = D.bracket_dims  # strictly increasing
     return tuple([bisect_right(dims, r) for r in D.rs])
+
+
+def _a2_bracket(D: QuadricDiagram):
+    """The first bracket dimension n_i with n_i = r_j + 1 for some j, where
+    (A2) fails; None when (A2) holds."""
+    rs = D.rs
+    for v in D.bracket_dims:
+        if v - 1 in rs:
+            return v
+    return None
 
 
 def diagram_dimension(D: QuadricDiagram) -> int:
@@ -264,11 +272,8 @@ def check_conditions(D: QuadricDiagram) -> AdmissibilityReport:
 
     okA1 = not q or rs[-1] <= ds[-1] - 3
 
-    witA2 = None
-    for v in dims:
-        if v - 1 in rs:
-            witA2 = f"bracket {v} = r_{rs.index(v - 1) + 1} + 1"
-            break
+    v = _a2_bracket(D)
+    witA2 = None if v is None else f"bracket {v} = r_{rs.index(v - 1) + 1} + 1"
 
     witA3 = None
     k = D.k
@@ -567,9 +572,11 @@ def enumerate_diagrams(k: int, m: int, dim: int | None = None):
     fits its ambient.  ``_quadric_profiles`` never builds a chain that breaks
     flag existence, (3) or (A1)-(A3), so every diagram yielded passes (1)-(3)
     and (A1)-(A3) by construction and none is checked here; the tests assert
-    ``check_conditions`` on every one.  Raises ``OutOfBounds`` when k < 1 or
-    m < 1.
+    ``check_conditions`` on every one.  Raises ``OutOfBounds`` unless k and
+    m are ints >= 1.
     """
+    if type(k) is not int or type(m) is not int:
+        raise OutOfBounds(f"k and m must be ints, got k={k!r}, m={m!r}")
     if k < 1 or m < 1:
         raise OutOfBounds(f"need k >= 1 and m >= 1, got k={k}, m={m}")
     for brackets in bracket_sets(k, m):

@@ -52,6 +52,8 @@ class GrIndex:
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(self.a))
+        if type(self.k) is not int or type(self.n) is not int:
+            raise OutOfBounds(f"k and n must be ints, got k={self.k!r}, n={self.n!r}")
         if not (1 <= self.k <= self.n):
             raise OutOfBounds(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if len(self.a) != self.k:
@@ -72,9 +74,8 @@ class GrIndex:
         return f"σ_{body}" if self.k == 1 else f"σ_{{{body}}}"
 
 
-def validate_gr(k: int, n: int, a) -> GrIndex:
-    """Validate (k, n, a) and return the index; no normalization is done."""
-    return GrIndex(k, n, tuple(a))
+# construction validates, so the validator is the constructor itself
+validate_gr = GrIndex
 
 
 def gr_dimension(x: GrIndex) -> int:

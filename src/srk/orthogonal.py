@@ -34,7 +34,11 @@ from .errors import (
 
 @dataclass(frozen=True)
 class OgIndex:
-    """A Schubert index for OG(k,n); immutable and validated on construction."""
+    """A Schubert index for OG(k,n); immutable and validated on construction.
+
+    When a_i = b_j + 1 the locus is a union of two Schubert varieties; the
+    raised ``SplitsIntoTwo`` carries both replacement indices as a diagnostic.
+    """
 
     k: int
     n: int
@@ -46,6 +50,8 @@ class OgIndex:
         object.__setattr__(self, "a", tuple(self.a))
         object.__setattr__(self, "b", tuple(self.b))
         k, n, a, b = self.k, self.n, self.a, self.b
+        if type(k) is not int or type(n) is not int:
+            raise Bounds(f"k and n must be ints, got k={k!r}, n={n!r}")
         if k < 1:
             raise Bounds(f"need k >= 1, got {k}")
         if n < 2 * k:
@@ -101,13 +107,8 @@ class OgIndex:
         return out
 
 
-def validate_og(k: int, n: int, a, b, prime: bool = False) -> OgIndex:
-    """Validate the data and return the index.
-
-    When a_i = b_j + 1 the locus is a union of two Schubert varieties; the
-    raised ``SplitsIntoTwo`` carries both replacement indices as a diagnostic.
-    """
-    return OgIndex(k, n, tuple(a), tuple(b), prime)
+# construction validates, so the validator is the constructor itself
+validate_og = OgIndex
 
 
 def og_essential(x: OgIndex) -> tuple:
@@ -174,8 +175,7 @@ def og_to_diagram(x: OgIndex) -> QuadricDiagram:
     The tests assert ``check_conditions`` on the diagram of every index of
     k <= 6, n <= 14.
     """
-    if needs_rewrite(x):
-        x = canonical_index(x)
+    x = canonical_index(x)
     brackets = tuple(
         Bracket(v, x.prime and i == x.s) for i, v in enumerate(x.a, start=1)
     )

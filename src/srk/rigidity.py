@@ -103,51 +103,52 @@ def _twice_threshold(x: OgIndex, j: int, bj: int) -> int:
     return 2 * (x.k - j + bj) - (x.n - 1)
 
 
-def _mt1_fires(x: OgIndex, i: int) -> bool:
-    """Clause MT-1 (only meaningful for i < s): a_i avoids the b's, the gap
-    below is at least 2 (sentinel a_0 = 0), and the gap above is exactly
-    2 + #{j : a_i < b_j < a_{i+1}}."""
-    if i >= x.s:
-        return False
+def _b_rigid_at(x: OgIndex, j: int, xs: tuple) -> bool:
+    """B-RIGID's test at b-position j: b_j is an a-part and 2 x_j >
+    2(k - j + b_j) - (n - 1).  ``xs`` is ``x_counts(x)``."""
+    bj = x.b[j - 1]
+    return bj in x.a and 2 * xs[j - 1] > _twice_threshold(x, j, bj)
+
+
+def _gap_above(x: OgIndex, i: int) -> bool:
+    """MT-1's gap rule at a-position i < s: a_i avoids the b's and
+    a_{i+1} - a_i = 2 + #{j : a_i < b_j < a_{i+1}}."""
     ai, anext = x.a[i - 1], x.a[i]
     if ai in x.b:
         return False
-    prev = x.a[i - 2] if i >= 2 else 0
-    if ai - prev < 2:
+    return anext - ai == 2 + sum(1 for bv in x.b if ai < bv < anext)
+
+
+def _mt1_fires(x: OgIndex, i: int) -> bool:
+    """Clause MT-1 (only meaningful for i < s): the gap rule above a_i, and
+    a gap of at least 2 below it (sentinel a_0 = 0)."""
+    if i >= x.s:
         return False
-    between = sum(1 for bv in x.b if ai < bv < anext)
-    return anext - ai == 2 + between
+    prev = x.a[i - 2] if i >= 2 else 0
+    return x.a[i - 1] - prev >= 2 and _gap_above(x, i)
 
 
 def _disputed_note(x: OgIndex, i: int) -> str | None:
     """Documented small-regime families where an explicit deformation
     contradicts the arithmetic Rigid verdict, plus the conflicting
     consecutive-gap region."""
-    k, n, s = x.k, x.n, x.s
-    if n == 2 * k + 1 and s == k - 1 and len(x.b) == 1:
-        if i == s and x.a == tuple(range(1, k)) and x.b == (k - 1,):
-            return (
-                "at n = 2k+1 this class has a restriction-variety "
-                "representative that fixes no subspace at this position"
-            )
-        t = x.b[0]
-        if (
-            1 <= t <= k - 2
-            and i == t
-            and x.a == tuple(range(1, t + 1)) + tuple(range(t + 2, k + 1))
-        ):
-            return (
-                "at n = 2k+1 this class has a restriction-variety "
-                "representative that fixes no subspace at this position"
-            )
-    if 2 <= i < s and x.a[i - 1] not in x.b and x.a[i - 1] == x.a[i - 2] + 1:
-        between = sum(1 for bv in x.b if x.a[i - 1] < bv < x.a[i])
-        if x.a[i] - x.a[i - 1] == 2 + between:
-            return (
-                "the consecutive-gap pattern a_i = a_{i-1}+1, "
-                "a_{i+1} = a_i + 2 + z_i is rigid by the arithmetic test "
-                "but has a documented deformation"
-            )
+    # n = 2k+1, b = (i) and a = 1..k without i + 1
+    if (
+        x.n == 2 * x.k + 1
+        and x.b == (i,)
+        and x.a == tuple(range(1, i + 1)) + tuple(range(i + 2, x.k + 1))
+    ):
+        return (
+            "at n = 2k+1 this class has a restriction-variety "
+            "representative that fixes no subspace at this position"
+        )
+    # MT-1's gap rule above a_i, with a gap of exactly 1 below, not >= 2
+    if 2 <= i < x.s and x.a[i - 1] == x.a[i - 2] + 1 and _gap_above(x, i):
+        return (
+            "the consecutive-gap pattern a_i = a_{i-1}+1, "
+            "a_{i+1} = a_i + 2 + z_i is rigid by the arithmetic test "
+            "but has a documented deformation"
+        )
     return None
 
 
@@ -222,8 +223,7 @@ def _rigid_b(x: OgIndex, j: int, ess_b: set, xs: tuple) -> Verdict:
     if j not in ess_b:
         return NOT_ESSENTIAL
     for jp in range(j, len(x.b) + 1):
-        bjp = x.b[jp - 1]
-        if bjp in x.a and 2 * xs[jp - 1] > _twice_threshold(x, jp, bjp):
+        if _b_rigid_at(x, jp, xs):
             if _b_boundary_disputed(x, j, xs):
                 return _DISPUTED_B_ON_THRESHOLD
             return Verdict("rigid", clause="B-RIGID", note=f"via j'={jp}")
@@ -288,12 +288,7 @@ def classify_og(x: OgIndex) -> RigidityReport:
     b_verdicts = tuple(_rigid_b(x, j, ess[1], xs) for j in range(1, len(x.b) + 1))
     class_rigid = all(v.is_rigid for v in a_verdicts + b_verdicts if v.is_essential)
     ess_b = [j for j, v in enumerate(b_verdicts, start=1) if v.is_essential]
-    if ess_b:
-        gamma = ess_b[-1]
-        bg = x.b[gamma - 1]
-        cond1 = bg in x.a and 2 * xs[gamma - 1] > _twice_threshold(x, gamma, bg)
-    else:
-        cond1 = True
+    cond1 = _b_rigid_at(x, ess_b[-1], xs) if ess_b else True
     cond2 = not any(_mt1_fires(x, i) for i in range(1, s))
     warnings = []
     if x.n <= 2 * x.k + 1:

@@ -1,11 +1,14 @@
 """Catalog records, JSONL round-trips, and the command-line surface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
@@ -31,16 +34,29 @@ PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(*args, env=None):
-    full_env = dict(os.environ)
-    full_env["PYTHONPATH"] = os.path.join(PKG_ROOT, "src")
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "srk", *args],
-        capture_output=True,
-        text=True,
-        env=full_env,
-    )
+    """``srk.cli.main`` on the arguments, in this process, with stdout and
+    stderr captured and ``env`` added to the environment; the result carries
+    ``returncode``, ``stdout`` and ``stderr`` as a finished ``srk`` process
+    would."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env or {}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(list(args))
+    return subprocess.CompletedProcess(["srk", *args], code, out.getvalue(), err.getvalue())
+
+
+def test_cli_runs_as_a_module():
+    """``python -m srk`` reaches ``main`` and exits with its code."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
+    for args, code, stdout in (
+        (("dim", "--space", "og", "--k", "2", "--n", "6", "--a", "1", "--b", "1"), 0, "2\n"),
+        (("dim", "--space", "og", "--k", "2", "--n", "7", "--a", "2", "--b", "1"), 2, ""),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "srk", *args], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stdout) == (code, stdout), proc.stderr
+        assert proc.stderr == run_cli(*args).stderr
 
 
 def test_enumerate_gr_count():
@@ -259,8 +275,9 @@ def test_cli_enumerate_unwritable_path_exit_code(tmp_path):
     assert out.stderr == f"error: cannot write catalog {target}: No such file or directory\n"
 
 
-# The CLI sequence below runs in one process, counting the top-level parsers
-# built, and again one command per process; both must print the same bytes.
+# The CLI sequence below runs in a fresh process, counting the top-level
+# parsers built, and again here through ``run_cli``; both must print the same
+# bytes.
 _IN_PROCESS = r"""
 import argparse, contextlib, io, json, sys
 
@@ -425,6 +442,9 @@ def test_cli_witness_prime():
         "--position", "a:1", "--prime",
     )
     assert (out.returncode, out.stdout, out.stderr) == (0, "none\n", "")
+    # a missing --b is the empty list, as --b - is
+    no_b = run_cli("witness", "--k", "2", "--n", "8", "--a", "2,4", "--position", "a:1", "--prime")
+    assert (no_b.returncode, no_b.stdout, no_b.stderr) == (out.returncode, out.stdout, out.stderr)
     misplaced = run_cli(
         "witness", "--k", "2", "--n", "9", "--a", "2", "--b", "3",
         "--position", "b:1", "--prime",

@@ -1,5 +1,7 @@
 """The degeneration engine: branch selection, repairs, expansion, pushforward."""
 
+import hashlib
+import json
 from collections import Counter
 from functools import lru_cache
 
@@ -274,16 +276,31 @@ def _surviving_leaves(node):
         yield from _surviving_leaves(child)
 
 
+# sha256 of (diagram, class, trace JSON) of every traced expansion and
+# pushforward of the admissible diagrams of k <= 3, m <= 8
+TRACES_COUNT = 686
+TRACES_SHA256 = "e0813c5d8820e7347781318e04e20f48f88433ac561dd934fbbca6288ffcd03b"
+
+
 def test_replayed_trace_agrees_with_cached_class():
     """Over every admissible diagram of k <= 3, m <= 8, in both modes: the
     traced class equals the cached one, every surviving leaf of the trace is
-    terminal, and the leaves' basis elements sum to the class."""
+    terminal, and the leaves' basis elements sum to the class.  The
+    diagrams, classes and trace trees (rules, notes, discard reasons) are
+    pinned by a digest.
+
+    Regenerate (only when a derivation change is intended):
+    PYTHONPATH=src python -c "import hashlib, json; from srk import *; h = hashlib.sha256(); runs = [run(D, trace=True) for k in range(1, 4) for m in range(2 * k, 9) for D in enumerate_diagrams(k, m) for run in (expand, pushforward_diagram)]; [h.update(f'{print_diagram(r.diagram)} {c} {json.dumps(r.to_json_dict(), separators=(\",\", \":\"))}\\n'.encode()) for c, r in runs]; print(len(runs), h.hexdigest())"
+    """
+    h = hashlib.sha256()
     cases = 0
     for k in range(1, 4):
         for m in range(2 * k, 9):
             for D in enumerate_diagrams(k, m):
                 for run, push in ((expand, False), (pushforward_diagram, True)):
                     traced, root = run(D, trace=True)
+                    tree = json.dumps(root.to_json_dict(), separators=(",", ":"))
+                    h.update(f"{print_diagram(D)} {traced} {tree}\n".encode())
                     assert traced == run(D), print_diagram(D)
                     leaves = list(_surviving_leaves(root))
                     if push:
@@ -294,7 +311,8 @@ def test_replayed_trace_agrees_with_cached_class():
                         basis = [diagram_to_og(L) for L in leaves]
                     assert ClassSum(Counter(basis)) == traced, print_diagram(D)
                     cases += 1
-    assert cases == 686
+    assert cases == TRACES_COUNT
+    assert h.hexdigest() == TRACES_SHA256
 
 
 def test_every_term_of_an_expansion_is_reachable():

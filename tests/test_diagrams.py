@@ -52,6 +52,12 @@ def test_structural_rejections(m, brackets, quadrics):
         D(m, brackets, quadrics)
 
 
+@pytest.mark.parametrize("m", [6.0, "6", True])
+def test_ambient_that_is_not_an_int_is_out_of_bounds(m):
+    with pytest.raises(OutOfBounds):
+        D(m, [1], [(5, 0)])
+
+
 def test_check_conditions_examples():
     assert check_conditions(D(6, [2], [(5, 0)])).ok
     rep_a1 = check_conditions(D(6, [2], [(4, 2)]))
@@ -287,7 +293,7 @@ def test_one_dimension_of_the_readme_example():
     assert len(list(enumerate_diagrams(2, 6, 2))) == 5
 
 
-@pytest.mark.parametrize("k,m", [(0, 5), (3, 0), (-1, 4)])
+@pytest.mark.parametrize("k,m", [(0, 5), (3, 0), (-1, 4), (2, 6.0), (2.0, 6), (True, 6)])
 def test_enumeration_of_an_empty_range_raises(k, m):
     with pytest.raises(OutOfBounds):
         list(enumerate_diagrams(k, m))

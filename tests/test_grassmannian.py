@@ -37,11 +37,21 @@ def test_validate_accepts_strictly_increasing():
         (5, 4, [1, 2, 3, 4, 4], OutOfBounds),
         (2, 5, [True, 2], OutOfBounds),  # bool is not a part
         (2, 5, [1, 2.0], OutOfBounds),
+        (2.0, 8, [1, 2], OutOfBounds),  # k and n are plain ints
+        (2, 8.0, [1, 2], OutOfBounds),
+        (True, 8, [1], OutOfBounds),
+        ("two", 8, [1, 2], OutOfBounds),
     ],
 )
 def test_validate_rejects(k, n, a, err):
     with pytest.raises(err):
         validate_gr(k, n, a)
+
+
+@pytest.mark.parametrize("k,n", [(True, 4), (2.0, 8), (2, 8.0), ("two", 8)])
+def test_enumeration_rejects_a_size_that_is_not_an_int(k, n):
+    with pytest.raises(OutOfBounds):
+        list(enumerate_gr(k, n))
 
 
 def test_dimension_examples():

@@ -56,11 +56,21 @@ def test_validate_splits_into_two_with_diagnostic():
         (dict(k=2, n=8, a=[3], b=[False]), Bounds),
         (dict(k=2, n=8, a=[2, 4], b=[], prime="yes"), BadPrime),  # not a bool
         (dict(k=2, n=8, a=[2, 4], b=[], prime=1), BadPrime),
+        (dict(k=2.0, n=8, a=[1], b=[1]), Bounds),  # k and n are plain ints
+        (dict(k=2, n=8.5, a=[1], b=[1]), Bounds),
+        (dict(k=True, n=8, a=[1], b=[]), Bounds),
+        (dict(k="two", n=8, a=[1], b=[1]), Bounds),
     ],
 )
 def test_validate_rejects(kwargs, err):
     with pytest.raises(err):
         validate_og(**kwargs)
+
+
+@pytest.mark.parametrize("k,n", [(True, 4), (2.0, 8), (2, 8.0), ("two", 8)])
+def test_enumeration_rejects_a_size_that_is_not_an_int(k, n):
+    with pytest.raises(Bounds):
+        list(enumerate_og(k, n))
 
 
 def test_essential_examples():
