@@ -26,10 +26,12 @@ class ClassSum:
                     acc[basis] = c
                 else:
                     acc.pop(basis, None)
-        spaces = {(type(b), b.k, b.n) for b in acc}
-        if len(spaces) > 1:
-            raise ValueError(f"mixed ambient spaces in one sum: {spaces}")
-        self._terms = dict(sorted(acc.items(), key=lambda kv: kv[0].sort_key))
+        if len(acc) > 1:
+            spaces = {(type(b), b.k, b.n) for b in acc}
+            if len(spaces) > 1:
+                raise ValueError(f"mixed ambient spaces in one sum: {spaces}")
+            acc = dict(sorted(acc.items(), key=lambda kv: kv[0].sort_key))
+        self._terms = acc
 
     @classmethod
     def zero(cls) -> "ClassSum":

@@ -59,8 +59,9 @@ results may be cached and shared across threads.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
+from typing import NamedTuple
 
 from .classsum import ClassSum
 from .diagrams import (
@@ -80,10 +81,10 @@ from .errors import (
 )
 from .grassmannian import GrIndex
 from .orthogonal import OgIndex, diagram_to_og, og_merge_prime, og_to_diagram
+from .values import Fields
 
 
-@dataclass(frozen=True)
-class BranchDecision:
+class BranchDecision(NamedTuple):
     """Why a step chose D^a, D^b, or both."""
 
     kappa: int
@@ -95,14 +96,17 @@ class BranchDecision:
     ambiguous_y: bool = False  # the two readings of the y guard disagree
 
 
-@dataclass
-class TraceNode:
-    """One node of a derivation trace."""
+class TraceNode(Fields):
+    """One node of a derivation trace; ``rule`` is Root, Da, Db, FixA2,
+    FixA1Split, FixB or Discard, and ``diagram`` is None for a discard."""
 
-    diagram: QuadricDiagram | None
-    rule: str  # Root | Da | Db | FixA2 | FixA1Split | FixB | Discard
-    note: str | None = None
-    children: list = field(default_factory=list)
+    __slots__ = _fields = ("diagram", "rule", "note", "children")
+
+    def __init__(self, diagram, rule: str, note: str | None = None, children=None):
+        self.diagram = diagram
+        self.rule = rule
+        self.note = note
+        self.children = [] if children is None else children
 
     def to_json_dict(self) -> dict:
         return {
@@ -123,7 +127,7 @@ class TraceNode:
 def _is_terminal(D: QuadricDiagram, push: bool) -> bool:
     if push:
         return not D.quadrics
-    return all(s == D.m for s in D.sums)
+    return D.sums.count(D.m) == D.q
 
 
 def kappa(D: QuadricDiagram, pushforward: bool = False) -> int:
@@ -144,10 +148,10 @@ def _raise_corank(quadrics: tuple, j1: int) -> tuple:
     """Set the digit right after block j1 to j1: r_{j1} grows by one and any
     empty blocks above absorb (r_j := max(r_j, r_{j1} + 1) for j >= j1)."""
     pos = quadrics[j1 - 1].r + 1
-    return tuple(
+    return tuple([
         Quadric(q.d, max(q.r, pos)) if j >= j1 else q
         for j, q in enumerate(quadrics, start=1)
-    )
+    ])
 
 
 def _try_build(m, brackets, quadrics):
@@ -349,17 +353,17 @@ def _terminal_basis(D: QuadricDiagram, push: bool):
 
 def _expand_node(node: TraceNode, push: bool, traced: bool) -> ClassSum:
     """Class of ``node.diagram``; a traced call records the whole derivation
-    under ``node``, an untraced one takes each child's class from the cache."""
+    under ``node``, an untraced one takes each child's class from the cache.
+    A node with one child shares that child's class."""
     D = node.diagram
     if _is_terminal(D, push):
         return ClassSum.single(_terminal_basis(D, push))
     _, pairs = _step(node, push)
-    acc = {}
+    subs = []
     for child, child_node in pairs:
         sub = _expand_node(child_node, push, True) if traced else _expand_cached(child, push)
-        for basis, coeff in sub:
-            acc[basis] = acc.get(basis, 0) + coeff
-    return ClassSum(acc)
+        subs.append(sub)
+    return subs[0] if len(subs) == 1 else ClassSum(chain.from_iterable(subs))
 
 
 @lru_cache(maxsize=None)

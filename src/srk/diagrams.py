@@ -38,8 +38,8 @@ Diagrams are immutable; every function here is pure.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import combinations
+from operator import add
 from typing import NamedTuple
 
 from .errors import (
@@ -49,6 +49,7 @@ from .errors import (
     MarkerMisplaced,
     OutOfBounds,
 )
+from .values import Fields, Frozen
 
 
 class Bracket(NamedTuple):
@@ -61,53 +62,39 @@ class Quadric(NamedTuple):
     r: int
 
 
-@dataclass(frozen=True)
-class QuadricDiagram:
+class QuadricDiagram(Frozen):
     """Structurally valid diagram; admissibility is a separate check.
 
     Its shape (``bracket_dims``, ``ds``, ``rs``, ``sums``, ``s``, ``q``,
-    ``k``) is computed once, at construction; equality, hashing and ``repr``
-    see only (m, brackets, quadrics).
+    ``k``) and its hash are computed once, at construction; equality,
+    hashing and ``repr`` see only (m, brackets, quadrics): ``Bracket``s with
+    dims strictly increasing, ``Quadric``s with d strictly decreasing and r
+    nondecreasing.
     """
 
-    m: int
-    brackets: tuple  # of Bracket, dims strictly increasing
-    quadrics: tuple  # of Quadric, d strictly decreasing, r nondecreasing
-    bracket_dims: tuple = field(init=False, repr=False, compare=False)
-    ds: tuple = field(init=False, repr=False, compare=False)
-    rs: tuple = field(init=False, repr=False, compare=False)
-    sums: tuple = field(init=False, repr=False, compare=False)
-    s: int = field(init=False, repr=False, compare=False)
-    q: int = field(init=False, repr=False, compare=False)
-    k: int = field(init=False, repr=False, compare=False)
+    _fields = ("m", "brackets", "quadrics")
 
-    def __post_init__(self):
+    def __init__(self, m, brackets, quadrics):
         # Every diagram the enumerator and the engine build comes through
-        # here, so the checks are plain loops and the shape is stored with
-        # one __dict__ update.  Parts given as plain tuples are wrapped
-        # first; the checks then run in a fixed order.
-        m = self.m
-        brackets = tuple(
-            [b if type(b) is Bracket else Bracket(*b) for b in self.brackets]
-        )
-        quadrics = tuple(
-            [q if type(q) is Quadric else Quadric(*q) for q in self.quadrics]
-        )
-        dims = tuple([b[0] for b in brackets])
+        # here, so the checks are plain loops, in a fixed order; the parts'
+        # types are checked first.
+        try:
+            brackets = tuple([b if type(b) is Bracket else Bracket(*b) for b in brackets])
+            quadrics = tuple([q if type(q) is Quadric else Quadric(*q) for q in quadrics])
+        except TypeError:
+            raise InvalidDiagram(
+                f"brackets must be (dim, prime) pairs and quadrics (d, r) pairs: "
+                f"{brackets!r}, {quadrics!r}"
+            ) from None
+        dims, primes = zip(*brackets) if brackets else ((), ())
         ds, rs = zip(*quadrics) if quadrics else ((), ())
+        for v in dims + ds + rs:
+            if type(v) is not int:
+                raise InvalidDiagram(f"bracket dims, d and r must be ints, got {v!r}")
+        for prime in primes:
+            if type(prime) is not bool:
+                raise InvalidDiagram(f"a bracket's prime must be a bool, got {prime!r}")
         s, q = len(brackets), len(quadrics)
-        # the dataclass is frozen: fill the instance dict directly
-        self.__dict__.update(
-            brackets=brackets,
-            quadrics=quadrics,
-            bracket_dims=dims,
-            ds=ds,
-            rs=rs,
-            sums=tuple([d + r for d, r in quadrics]),
-            s=s,
-            q=q,
-            k=s + q,
-        )
         if type(m) is not int:
             raise OutOfBounds(f"m must be an int, got {m!r}")
         if m < 1:
@@ -154,6 +141,13 @@ class QuadricDiagram:
                     raise InvalidDiagram(
                         f"bracket {top} cannot lie isotropically inside Q_{d}^{r}"
                     )
+        key = (m, brackets, quadrics)
+        self.__dict__.update({
+            "_key": key, "_hash": hash(key),
+            "m": m, "brackets": brackets, "quadrics": quadrics,
+            "bracket_dims": dims, "ds": ds, "rs": rs,
+            "sums": tuple(map(add, ds, rs)), "s": s, "q": q, "k": s + q,
+        })
 
     def digit_at(self, pos: int) -> int:
         """Digit at 1-based position pos: the j with r_{j-1} < pos <= r_j."""
@@ -177,17 +171,22 @@ def digits(D: QuadricDiagram) -> list:
     return out
 
 
-@dataclass
-class AdmissibilityReport:
-    """Per-condition verdicts; ``witness`` describes the first violation."""
+class AdmissibilityReport(Fields):
+    """Per-condition verdicts, label -> (passed, witness); ``witness``
+    describes the first violation.  ``ok`` is decided once, at construction."""
 
-    conditions: dict = field(default_factory=dict)  # label -> (passed, witness)
-    x: tuple = ()
-    warnings: tuple = ()
+    __slots__ = ("conditions", "x", "warnings", "ok")
+    _fields = ("conditions", "x", "warnings")
 
-    @property
-    def ok(self) -> bool:
-        return all(passed for passed, _ in self.conditions.values())
+    def __init__(self, conditions=None, x=(), warnings=()):
+        self.conditions = {} if conditions is None else conditions
+        self.x = x
+        self.warnings = warnings
+        self.ok = True
+        for passed, _ in self.conditions.values():
+            if not passed:
+                self.ok = False
+                break
 
     def failed(self) -> list:
         return [label for label, (p, _) in self.conditions.items() if not p]
@@ -284,7 +283,7 @@ def check_conditions(D: QuadricDiagram) -> AdmissibilityReport:
             break
 
     return AdmissibilityReport(
-        conditions={
+        {
             # (1): nondecreasing coranks, r_j <= d_j.  The constructor rejects
             # any diagram that breaks it, so it holds for every QuadricDiagram.
             "1": (True, None),
@@ -296,8 +295,8 @@ def check_conditions(D: QuadricDiagram) -> AdmissibilityReport:
             "A2": (witA2 is None, witA2),
             "A3": (witA3 is None, witA3),
         },
-        x=xs,
-        warnings=warnings,
+        xs,
+        warnings,
     )
 
 
@@ -530,7 +529,7 @@ def _quadric_profiles(q, m, dims, k, total=None):
                 acc.pop()
 
         for rs in fill(0, 0, [], True, False, 0):
-            yield tuple(Quadric(d, r) for d, r in zip(ds, rs))
+            yield tuple(map(Quadric, ds, rs))
 
 
 def bracket_sets(k: int, m: int):

@@ -10,64 +10,64 @@ All values are immutable and all functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BadArity, NotStrictlyIncreasing, OutOfBounds, PositionOutOfRange
+from .values import Frozen
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a single-position rigidity test."""
+class Verdict(Frozen):
+    """Outcome of a single-position rigidity test: ``kind`` is "rigid",
+    "not_rigid", "not_essential" or "disputed".  The token, ``is_rigid`` and
+    ``is_essential`` are stored at construction."""
 
-    kind: str  # "rigid" | "not_rigid" | "not_essential" | "disputed"
-    clause: str | None = None
-    note: str | None = None
+    _fields = ("kind", "clause", "note")
 
-    @property
-    def is_rigid(self) -> bool:
-        return self.kind == "rigid"
-
-    @property
-    def is_essential(self) -> bool:
-        return self.kind != "not_essential"
+    def __init__(self, kind: str, clause: str | None = None, note: str | None = None):
+        key = (kind, clause, note)
+        self.__dict__.update({
+            "_key": key, "_hash": hash(key),
+            "kind": kind, "clause": clause, "note": note,
+            "is_rigid": kind == "rigid", "is_essential": kind != "not_essential",
+            "_token": f"{kind}:{clause}" if clause else kind,
+        })
 
     def token(self) -> str:
         """Compact machine-readable form, e.g. ``not_rigid:MT-1``."""
-        return f"{self.kind}:{self.clause}" if self.clause else self.kind
+        return self._token
 
     def __str__(self):
-        return self.token()
+        return self._token
 
 
 NOT_ESSENTIAL = Verdict("not_essential")
 
 
-@dataclass(frozen=True)
-class GrIndex:
-    """A Schubert index for G(k,n): k strictly increasing parts bounded by n."""
+class GrIndex(Frozen):
+    """A Schubert index for G(k,n): k strictly increasing parts bounded by n.
+    ``sort_key`` is stored at construction."""
 
-    k: int
-    n: int
-    a: tuple
+    _fields = ("k", "n", "a")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        if type(self.k) is not int or type(self.n) is not int:
-            raise OutOfBounds(f"k and n must be ints, got k={self.k!r}, n={self.n!r}")
-        if not (1 <= self.k <= self.n):
-            raise OutOfBounds(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if len(self.a) != self.k:
-            raise BadArity(f"expected {self.k} parts, got {len(self.a)}")
-        if any(not isinstance(v, int) or isinstance(v, bool) for v in self.a):
-            raise OutOfBounds(f"parts must be integers: {self.a}")
-        if any(x >= y for x, y in zip(self.a, self.a[1:])):
-            raise NotStrictlyIncreasing(f"parts must strictly increase: {self.a}")
-        if self.a[0] < 1 or self.a[-1] > self.n:
-            raise OutOfBounds(f"parts must lie in 1..{self.n}: {self.a}")
-
-    @property
-    def sort_key(self):
-        return self.a
+    def __init__(self, k, n, a):
+        try:
+            a = tuple(a)
+        except TypeError:
+            raise OutOfBounds(f"a must be a sequence of parts, got {a!r}") from None
+        if type(k) is not int or type(n) is not int:
+            raise OutOfBounds(f"k and n must be ints, got k={k!r}, n={n!r}")
+        if not (1 <= k <= n):
+            raise OutOfBounds(f"need 1 <= k <= n, got k={k}, n={n}")
+        if len(a) != k:
+            raise BadArity(f"expected {k} parts, got {len(a)}")
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in a):
+            raise OutOfBounds(f"parts must be integers: {a}")
+        if any(x >= y for x, y in zip(a, a[1:])):
+            raise NotStrictlyIncreasing(f"parts must strictly increase: {a}")
+        if a[0] < 1 or a[-1] > n:
+            raise OutOfBounds(f"parts must lie in 1..{n}: {a}")
+        key = (k, n, a)
+        self.__dict__.update({
+            "_key": key, "_hash": hash(key), "k": k, "n": n, "a": a, "sort_key": a,
+        })
 
     def __str__(self):
         body = ",".join(str(v) for v in self.a)

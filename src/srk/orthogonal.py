@@ -18,8 +18,6 @@ engine checks every diagram it is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .diagrams import Bracket, Quadric, QuadricDiagram
 from .errors import (
     BadArity,
@@ -30,26 +28,24 @@ from .errors import (
     NotStrictlyIncreasing,
     SplitsIntoTwo,
 )
+from .values import Frozen
 
 
-@dataclass(frozen=True)
-class OgIndex:
+class OgIndex(Frozen):
     """A Schubert index for OG(k,n); immutable and validated on construction.
 
     When a_i = b_j + 1 the locus is a union of two Schubert varieties; the
     raised ``SplitsIntoTwo`` carries both replacement indices as a diagnostic.
+    ``s`` and ``sort_key`` are stored at construction.
     """
 
-    k: int
-    n: int
-    a: tuple
-    b: tuple
-    prime: bool = False
+    _fields = ("k", "n", "a", "b", "prime")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
-        k, n, a, b = self.k, self.n, self.a, self.b
+    def __init__(self, k, n, a, b, prime=False):
+        try:
+            a, b = tuple(a), tuple(b)
+        except TypeError:
+            raise Bounds(f"a and b must be sequences of parts, got a={a!r}, b={b!r}") from None
         if type(k) is not int or type(n) is not int:
             raise Bounds(f"k and n must be ints, got k={k!r}, n={n!r}")
         if k < 1:
@@ -73,9 +69,9 @@ class OgIndex:
             raise Bounds(f"need 1 <= a_i <= n/2: {a}")
         if b and (b[0] < 0 or 2 * b[-1] > n - 2):
             raise Bounds(f"need 0 <= b_j <= n/2 - 1: {b}")
-        if type(self.prime) is not bool:
-            raise BadPrime(f"prime marker must be a bool, got {self.prime!r}")
-        if self.prime and not (n % 2 == 0 and a and 2 * a[-1] == n):
+        if type(prime) is not bool:
+            raise BadPrime(f"prime marker must be a bool, got {prime!r}")
+        if prime and not (n % 2 == 0 and a and 2 * a[-1] == n):
             raise BadPrime(f"prime marker needs n even and a_s = n/2: a={a}, n={n}")
         for i, av in enumerate(a, start=1):
             for j, bv in enumerate(b, start=1):
@@ -85,14 +81,13 @@ class OgIndex:
                         (a, b[: j - 1] + (bv + 1,) + b[j:]),
                     )
                     raise SplitsIntoTwo(i, j, split)
-
-    @property
-    def s(self) -> int:
-        return len(self.a)
-
-    @property
-    def sort_key(self):
-        return (self.s, self.a, int(self.prime), self.b)
+        s = len(a)
+        key = (k, n, a, b, prime)
+        self.__dict__.update({
+            "_key": key, "_hash": hash(key),
+            "k": k, "n": n, "a": a, "b": b, "prime": prime,
+            "s": s, "sort_key": (s, a, int(prime), b),
+        })
 
     def __str__(self):
         parts = [f"{v}'" if self.prime and i == self.s else str(v)
@@ -219,4 +214,4 @@ def og_dimension(x: OgIndex) -> int:
 
 def og_merge_prime(x: OgIndex) -> OgIndex:
     """The unprimed twin of a primed index; identity when unprimed."""
-    return replace(x, prime=False) if x.prime else x
+    return OgIndex(x.k, x.n, x.a, x.b) if x.prime else x

@@ -34,12 +34,11 @@ scan; no error is caught.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
 from .classsum import ClassSum
-from .degeneration import can_reach, expand
+from .degeneration import _expand_cached, can_reach, expand
 from .diagrams import QuadricDiagram, bracket_sets, diagrams_with, print_diagram
 from .errors import (
     EngineInvariantError,
@@ -55,6 +54,7 @@ from .orthogonal import (
     og_dimension,
     og_essential,
 )
+from .values import Fields
 
 DEFAULT_SEARCH_BUDGET = 100_000
 
@@ -242,18 +242,23 @@ def og_rigid_class(x: OgIndex) -> tuple:
     return rep.class_rigid, rep.method_agreement
 
 
-@dataclass
-class RigidityReport:
-    """Everything the classifiers say about one index."""
+class RigidityReport(Fields):
+    """Everything the classifiers say about one index; the verdicts are one
+    ``Verdict`` per a-position and per b-position, in 1-based order."""
 
-    index: OgIndex
-    a_verdicts: tuple  # Verdict per a-position, 1-based order
-    b_verdicts: tuple
-    class_rigid: bool
-    method_agreement: bool
-    warnings: tuple
-    z: tuple
-    x: tuple
+    __slots__ = _fields = ("index", "a_verdicts", "b_verdicts", "class_rigid",
+                           "method_agreement", "warnings", "z", "x")
+
+    def __init__(self, index, a_verdicts, b_verdicts, class_rigid, method_agreement,
+                 warnings, z, x):
+        self.index = index
+        self.a_verdicts = a_verdicts
+        self.b_verdicts = b_verdicts
+        self.class_rigid = class_rigid
+        self.method_agreement = method_agreement
+        self.warnings = warnings
+        self.z = z
+        self.x = x
 
     def to_json_dict(self) -> dict:
         return {
@@ -393,3 +398,14 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
         if cls == target:
             return D
     return None
+
+
+def cache_info() -> dict:
+    """Hit, miss and size counts of the process's two caches: the classes of
+    ``expand`` and ``pushforward_diagram`` (``"expand"``) and the witness
+    scan's candidate diagrams (``"candidates"``)."""
+    out = {}
+    for name, cached in (("expand", _expand_cached), ("candidates", _candidates)):
+        info = cached.cache_info()
+        out[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
+    return out

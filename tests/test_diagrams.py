@@ -52,6 +52,27 @@ def test_structural_rejections(m, brackets, quadrics):
         D(m, brackets, quadrics)
 
 
+@pytest.mark.parametrize(
+    "m,brackets,quadrics",
+    [
+        (6, 5, ()),                         # parts are sequences
+        (6, [], None),
+        (6, [2], ()),                       # a part is a pair
+        (6, [(1, False, 2)], ()),
+        (6, [], [(5,)]),
+        (6, [(3, "x")], ()),                # the prime is a bool
+        (6, [(3, 1)], ()),
+        (6, [(2.0, False)], ()),            # dims, d and r are ints
+        (6, [(True, False)], [(5, 0)]),
+        (8, [], [Quadric(7.5, 0)]),
+        (8, [], [(7, 0.0)]),
+    ],
+)
+def test_mistyped_parts_are_invalid(m, brackets, quadrics):
+    with pytest.raises(InvalidDiagram):
+        QuadricDiagram(m, brackets, quadrics)
+
+
 @pytest.mark.parametrize("m", [6.0, "6", True])
 def test_ambient_that_is_not_an_int_is_out_of_bounds(m):
     with pytest.raises(OutOfBounds):

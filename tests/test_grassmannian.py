@@ -41,6 +41,8 @@ def test_validate_accepts_strictly_increasing():
         (2, 8.0, [1, 2], OutOfBounds),
         (True, 8, [1], OutOfBounds),
         ("two", 8, [1, 2], OutOfBounds),
+        (2, 8, None, OutOfBounds),  # parts are a sequence
+        (1, 8, 5, OutOfBounds),
     ],
 )
 def test_validate_rejects(k, n, a, err):

@@ -60,6 +60,8 @@ def test_validate_splits_into_two_with_diagnostic():
         (dict(k=2, n=8.5, a=[1], b=[1]), Bounds),
         (dict(k=True, n=8, a=[1], b=[]), Bounds),
         (dict(k="two", n=8, a=[1], b=[1]), Bounds),
+        (dict(k=2, n=8, a=5, b=[1]), Bounds),  # parts are sequences
+        (dict(k=2, n=8, a=[1], b=None), Bounds),
     ],
 )
 def test_validate_rejects(kwargs, err):
