@@ -21,12 +21,13 @@ expands the class into Schubert classes of OG(k,n).  Treating the ambient as
 2n+1 instead (terminal = no quadrics left) computes the pushforward of the
 class to the ordinary Grassmannian G(k,n).
 
-There is one derivation path.  ``_step`` always records what it does under
-the trace node it is given, and ``_expand_node`` is the one recursion that
-accumulates child classes.  An untraced expansion steps a throwaway node and
-takes each child's class from ``_expand_cached``, the one cache.  A traced
-expansion runs the same recursion on a fresh root outside the cache, so it
-replays every step and returns the same class as the cached call.
+There is one derivation path.  ``_step`` records what it does under the
+node it is given, and ``_expand_node`` is the one recursion that accumulates
+child classes.  An untraced expansion steps a ``_Sink``, which records
+nothing, and takes each child's class from ``_expand_cached``, the one
+cache.  A traced expansion runs the same recursion on a fresh ``TraceNode``
+root outside the cache, so it replays every step and returns the same class
+as the cached call.
 
 Admissibility is the one contract of every step, decided once per diagram.
 Every public entry (``expand``, ``pushforward_diagram``, ``step`` and
@@ -124,6 +125,14 @@ class TraceNode(Fields):
         return "\n".join([line] + [c.render(indent + 1) for c in self.children])
 
 
+class _Sink(NamedTuple):
+    """The node of an untraced step: it holds the diagram and records
+    nothing; ``_grow`` hands it back for every derived diagram."""
+
+    diagram: QuadricDiagram
+    children = None
+
+
 def _is_terminal(D: QuadricDiagram, push: bool) -> bool:
     if push:
         return not D.quadrics
@@ -139,6 +148,11 @@ def kappa(D: QuadricDiagram, pushforward: bool = False) -> int:
     """
     if _is_terminal(D, pushforward):
         raise AlreadyTerminal(f"{print_diagram(D)} is terminal")
+    return _kappa(D)
+
+
+def _kappa(D: QuadricDiagram) -> int:
+    """``kappa`` of a diagram that is not terminal."""
     sums = D.sums
     drops = [j for j in range(2, D.q + 1) if sums[j - 1] < sums[j - 2]]
     return max(drops) if drops else 1
@@ -161,8 +175,11 @@ def _try_build(m, brackets, quadrics):
         return None
 
 
-def _grow(node: TraceNode, diagram, rule: str, note: str | None = None) -> TraceNode:
-    """Record a derived diagram (or, with None, a discard) under ``node``."""
+def _grow(node, diagram, rule: str, note: str | None = None):
+    """Record a derived diagram (or, with None, a discard) under ``node``;
+    a ``_Sink`` records nothing and is handed back."""
+    if node.children is None:
+        return node
     child = TraceNode(diagram, rule, note)
     node.children.append(child)
     return child
@@ -250,7 +267,7 @@ def derive_and_fix_a(D: QuadricDiagram, pushforward: bool = False):
     """Diagrams derived from D^a: usually 0, 1, or 2 of them."""
     _entry_check(D)
     kap = kappa(D, pushforward)
-    pairs = _algorithm1(_bump(D, kap), kap, pushforward, TraceNode(D, "Root"))
+    pairs = _algorithm1(_bump(D, kap), kap, pushforward, _Sink(D))
     return [d for d, _ in pairs]
 
 
@@ -294,15 +311,15 @@ def derive_and_fix_b(D: QuadricDiagram, pushforward: bool = False):
     or the repair gives up."""
     _entry_check(D)
     kap = kappa(D, pushforward)
-    pairs = _derive_b(_bump(D, kap), kap, TraceNode(D, "Root"))
+    pairs = _derive_b(_bump(D, kap), kap, _Sink(D))
     return pairs[0][0] if pairs else None
 
 
-def _step(node: TraceNode, push: bool):
-    """One degeneration step of ``node.diagram``, recorded under ``node``;
-    returns the branch decision and the (child, child node) pairs."""
+def _step(node, push: bool):
+    """One step of ``node.diagram``, which is not terminal, recorded under
+    ``node``; returns the branch decision and the (child, node) pairs."""
     D = node.diagram
-    kap = kappa(D, push)
+    kap = _kappa(D)
     r_kap = D.quadrics[kap - 1].r
     dims, rs = D.bracket_dims, D.rs
     x_kap = bisect_right(dims, r_kap)
@@ -331,9 +348,10 @@ def _step(node: TraceNode, push: bool):
     else:
         chosen = "Both"
         pairs = _algorithm1(Da, kap, push, node, rep) + _derive_b(Da, kap, node)
-    node.note = f"κ={kap} x={x_kap} y={y_kap} → {chosen}"
-    if ambiguous:
-        node.note += " (y-guard readings disagree)"
+    if node.children is not None:
+        node.note = f"κ={kap} x={x_kap} y={y_kap} → {chosen}"
+        if ambiguous:
+            node.note += " (y-guard readings disagree)"
     decision = BranchDecision(kap, x_kap, y_kap, n_s_le_r, gap_test, chosen, ambiguous)
     return decision, pairs
 
@@ -341,7 +359,8 @@ def _step(node: TraceNode, push: bool):
 def step(D: QuadricDiagram, pushforward: bool = False):
     """One degeneration step: the branch decision and the derived diagrams."""
     _entry_check(D)
-    decision, pairs = _step(TraceNode(D, "Root"), pushforward)
+    kappa(D, pushforward)  # raises AlreadyTerminal
+    decision, pairs = _step(_Sink(D), pushforward)
     return decision, [d for d, _ in pairs]
 
 
@@ -351,7 +370,7 @@ def _terminal_basis(D: QuadricDiagram, push: bool):
     return diagram_to_og(D)
 
 
-def _expand_node(node: TraceNode, push: bool, traced: bool) -> ClassSum:
+def _expand_node(node, push: bool, traced: bool) -> ClassSum:
     """Class of ``node.diagram``; a traced call records the whole derivation
     under ``node``, an untraced one takes each child's class from the cache.
     A node with one child shares that child's class."""
@@ -368,7 +387,7 @@ def _expand_node(node: TraceNode, push: bool, traced: bool) -> ClassSum:
 
 @lru_cache(maxsize=None)
 def _expand_cached(D, push):
-    return _expand_node(TraceNode(D, "Root"), push, False)
+    return _expand_node(_Sink(D), push, False)
 
 
 def _entry_check(D: QuadricDiagram):

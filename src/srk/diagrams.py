@@ -62,6 +62,21 @@ class Quadric(NamedTuple):
     r: int
 
 
+# The parts of every diagram built, kept once for the life of the process so that equal
+# diagrams share them: brackets -> (brackets, bracket_dims), quadrics -> (quadrics, ds, rs,
+# sums), a Quadric or int tuple to itself; one table per kind, as Bracket(5) == Quadric(5, 0).
+_PART_TABLES = _BRACKET_SHAPES, _QUADRIC_SHAPES, _QUADRICS, _INT_TUPLES = {}, {}, {}, {}
+
+
+def _parts(parts, kind) -> tuple:
+    """``parts`` as a tuple of ``kind``s; a tuple of them is kept as given."""
+    parts = tuple(parts)
+    for p in parts:
+        if type(p) is not kind:
+            return tuple([p if type(p) is kind else kind(*p) for p in parts])
+    return parts
+
+
 class QuadricDiagram(Frozen):
     """Structurally valid diagram; admissibility is a separate check.
 
@@ -69,9 +84,10 @@ class QuadricDiagram(Frozen):
     ``k``) and its hash are computed once, at construction; equality,
     hashing and ``repr`` see only (m, brackets, quadrics): ``Bracket``s with
     dims strictly increasing, ``Quadric``s with d strictly decreasing and r
-    nondecreasing.
+    nondecreasing.  Equal diagrams share their part tuples.
     """
 
+    __slots__ = ("m", "brackets", "quadrics", "bracket_dims", "ds", "rs", "sums", "s", "q", "k")
     _fields = ("m", "brackets", "quadrics")
 
     def __init__(self, m, brackets, quadrics):
@@ -79,8 +95,8 @@ class QuadricDiagram(Frozen):
         # here, so the checks are plain loops, in a fixed order; the parts'
         # types are checked first.
         try:
-            brackets = tuple([b if type(b) is Bracket else Bracket(*b) for b in brackets])
-            quadrics = tuple([q if type(q) is Quadric else Quadric(*q) for q in quadrics])
+            brackets = _parts(brackets, Bracket)
+            quadrics = _parts(quadrics, Quadric)
         except TypeError:
             raise InvalidDiagram(
                 f"brackets must be (dim, prime) pairs and quadrics (d, r) pairs: "
@@ -141,13 +157,19 @@ class QuadricDiagram(Frozen):
                     raise InvalidDiagram(
                         f"bracket {top} cannot lie isotropically inside Q_{d}^{r}"
                     )
+        shape = _BRACKET_SHAPES.get(brackets)
+        if shape is None:
+            dims = _INT_TUPLES.setdefault(dims, dims)
+            shape = _BRACKET_SHAPES.setdefault(brackets, (brackets, dims))
+        brackets, dims = shape
+        shape = _QUADRIC_SHAPES.get(quadrics)
+        if shape is None:
+            quadrics = tuple([_QUADRICS.setdefault(qq, qq) for qq in quadrics])
+            ints = [_INT_TUPLES.setdefault(t, t) for t in (ds, rs, tuple(map(add, ds, rs)))]
+            shape = _QUADRIC_SHAPES.setdefault(quadrics, (quadrics, *ints))
+        quadrics, ds, rs, sums = shape
         key = (m, brackets, quadrics)
-        self.__dict__.update({
-            "_key": key, "_hash": hash(key),
-            "m": m, "brackets": brackets, "quadrics": quadrics,
-            "bracket_dims": dims, "ds": ds, "rs": rs,
-            "sums": tuple(map(add, ds, rs)), "s": s, "q": q, "k": s + q,
-        })
+        self._store(key, hash(key), m, brackets, quadrics, dims, ds, rs, sums, s, q, s + q)
 
     def digit_at(self, pos: int) -> int:
         """Digit at 1-based position pos: the j with r_{j-1} < pos <= r_j."""

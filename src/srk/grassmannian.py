@@ -19,16 +19,15 @@ class Verdict(Frozen):
     "not_rigid", "not_essential" or "disputed".  The token, ``is_rigid`` and
     ``is_essential`` are stored at construction."""
 
+    __slots__ = ("kind", "clause", "note", "is_rigid", "is_essential", "_token")
     _fields = ("kind", "clause", "note")
 
     def __init__(self, kind: str, clause: str | None = None, note: str | None = None):
         key = (kind, clause, note)
-        self.__dict__.update({
-            "_key": key, "_hash": hash(key),
-            "kind": kind, "clause": clause, "note": note,
-            "is_rigid": kind == "rigid", "is_essential": kind != "not_essential",
-            "_token": f"{kind}:{clause}" if clause else kind,
-        })
+        self._store(
+            key, hash(key), kind, clause, note, kind == "rigid", kind != "not_essential",
+            f"{kind}:{clause}" if clause else kind,
+        )
 
     def token(self) -> str:
         """Compact machine-readable form, e.g. ``not_rigid:MT-1``."""
@@ -45,6 +44,7 @@ class GrIndex(Frozen):
     """A Schubert index for G(k,n): k strictly increasing parts bounded by n.
     ``sort_key`` is stored at construction."""
 
+    __slots__ = ("k", "n", "a", "sort_key")
     _fields = ("k", "n", "a")
 
     def __init__(self, k, n, a):
@@ -65,9 +65,7 @@ class GrIndex(Frozen):
         if a[0] < 1 or a[-1] > n:
             raise OutOfBounds(f"parts must lie in 1..{n}: {a}")
         key = (k, n, a)
-        self.__dict__.update({
-            "_key": key, "_hash": hash(key), "k": k, "n": n, "a": a, "sort_key": a,
-        })
+        self._store(key, hash(key), k, n, a, a)
 
     def __str__(self):
         body = ",".join(str(v) for v in self.a)

@@ -39,6 +39,7 @@ class OgIndex(Frozen):
     ``s`` and ``sort_key`` are stored at construction.
     """
 
+    __slots__ = ("k", "n", "a", "b", "prime", "s", "sort_key")
     _fields = ("k", "n", "a", "b", "prime")
 
     def __init__(self, k, n, a, b, prime=False):
@@ -83,11 +84,7 @@ class OgIndex(Frozen):
                     raise SplitsIntoTwo(i, j, split)
         s = len(a)
         key = (k, n, a, b, prime)
-        self.__dict__.update({
-            "_key": key, "_hash": hash(key),
-            "k": k, "n": n, "a": a, "b": b, "prime": prime,
-            "s": s, "sort_key": (s, a, int(prime), b),
-        })
+        self._store(key, hash(key), k, n, a, b, prime, s, (s, a, int(prime), b))
 
     def __str__(self):
         parts = [f"{v}'" if self.prime and i == self.s else str(v)

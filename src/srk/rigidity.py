@@ -39,7 +39,7 @@ from itertools import chain
 
 from .classsum import ClassSum
 from .degeneration import _expand_cached, can_reach, expand
-from .diagrams import QuadricDiagram, bracket_sets, diagrams_with, print_diagram
+from .diagrams import _PART_TABLES, QuadricDiagram, bracket_sets, diagrams_with, print_diagram
 from .errors import (
     EngineInvariantError,
     PositionOutOfRange,
@@ -403,9 +403,11 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
 def cache_info() -> dict:
     """Hit, miss and size counts of the process's two caches: the classes of
     ``expand`` and ``pushforward_diagram`` (``"expand"``) and the witness
-    scan's candidate diagrams (``"candidates"``)."""
+    scan's candidate diagrams (``"candidates"``); and the size of the tables
+    of parts that equal diagrams share (``"parts"``)."""
     out = {}
     for name, cached in (("expand", _expand_cached), ("candidates", _candidates)):
         info = cached.cache_info()
         out[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
+    out["parts"] = {"size": sum(map(len, _PART_TABLES))}
     return out

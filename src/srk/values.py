@@ -24,9 +24,20 @@ class Fields:
 class Frozen(Fields):
     """An immutable, hashable ``Fields`` whose ``_fields`` are its
     ``__init__`` parameters, in order.  ``__init__`` validates, then stores
-    every attribute with one ``__dict__`` update, among them ``_key``, the
+    every value in a slot with one ``_store`` call, among them ``_key``, the
     fields' values, and ``_hash``, its hash, which is taken only there.
     Assigning or deleting an attribute raises ``AttributeError``."""
+
+    __slots__ = ("_key", "_hash")
+
+    def __init_subclass__(cls):
+        # _store(self, _key, _hash, *__slots__) sets each slot through its
+        # descriptor, as __setattr__ refuses; compiled, it beats a loop
+        names = ("_key", "_hash", *cls.__slots__)
+        env = {f"set{i}": getattr(cls, n).__set__ for i, n in enumerate(names)}
+        body = "; ".join([f"set{i}(self, {n})" for i, n in enumerate(names)])
+        exec(f"def _store(self, {', '.join(names)}): {body}", env)
+        cls._store = env["_store"]
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

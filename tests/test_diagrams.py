@@ -157,6 +157,18 @@ def test_parse_verbose_and_canonical_forms():
     assert parse_diagram("m=6 k=2 a=- q=6:0,5:1") == D(6, [], [(6, 0), (5, 1)])
 
 
+def test_canonical_form_is_compact_up_to_nine_quadrics():
+    # digits 1..q at positions 1..q, so digit 10 needs the verbose form
+    nine = D(20, [], [(20 - j, j) for j in range(1, 10)])
+    ten = D(20, [], [(20 - j, j) for j in range(1, 11)])
+    assert print_diagram(nine) == print_diagram(nine, form="compact")
+    assert print_diagram(nine).startswith("123456789")
+    assert parse_diagram(print_diagram(nine)) == nine
+    assert print_diagram(ten) == print_diagram(ten, form="verbose")
+    with pytest.raises(ValueError, match="verbose"):
+        print_diagram(ten, form="compact")
+
+
 @pytest.mark.parametrize(
     "text,err",
     [

@@ -169,3 +169,28 @@ def test_cache_info_counts_hits_misses_and_size():
     assert after["candidates"]["hits"] > before["candidates"]["hits"]
     assert after["candidates"]["size"] == before["candidates"]["size"] > 0
     assert all(type(v) is int for counts in after.values() for v in counts.values())
+
+
+@pytest.mark.parametrize("value,twin,text", _values())
+def test_values_keep_no_instance_dict(value, twin, text):
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(TypeError):
+        vars(value)
+
+
+def test_derived_diagrams_share_their_parents_part_tuples():
+    D = parse_diagram("22]000}0}0")
+    Da = srk.degeneration._bump(D, 1)
+    assert Da != D and Da.brackets is D.brackets and Da.bracket_dims is D.bracket_dims
+    Db = QuadricDiagram(Da.m, [Bracket(2)], Da.quadrics)
+    assert Db.quadrics is Da.quadrics and (Db.ds, Db.rs, Db.sums) == (Da.ds, Da.rs, Da.sums)
+    assert all(a is b for a, b in zip((Db.ds, Db.rs, Db.sums), (Da.ds, Da.rs, Da.sums)))
+
+
+def test_equal_diagrams_built_apart_share_their_part_tuples():
+    first = parse_diagram("22]000}0}0")
+    second = QuadricDiagram(7, [(2, False)], [(6, 0), (5, 2)])
+    assert first == second and first is not second
+    for name in ("brackets", "quadrics", "bracket_dims", "ds", "rs", "sums"):
+        assert getattr(first, name) is getattr(second, name), name
+    assert srk.cache_info()["parts"]["size"] > 0
