@@ -49,8 +49,6 @@ def test_validate_splits_into_two_with_diagnostic():
         (dict(k=2, n=6, a=[4], b=[0]), Bounds),
         (dict(k=2, n=6, a=[1], b=[3]), Bounds),
         (dict(k=2, n=6, a=[2, 1], b=[]), NotStrictlyIncreasing),
-        (dict(k=2, n=8, a=[2, 2], b=[]), NotStrictlyIncreasing),  # equal parts
-        (dict(k=2, n=8, a=[], b=[1, 1]), NotStrictlyIncreasing),
         (dict(k=3, n=8, a=[1], b=[3]), BadArity),
         (dict(k=0, n=0, a=[], b=[]), Bounds),
         (dict(k=0, n=4, a=[], b=[]), Bounds),
@@ -64,6 +62,8 @@ def test_validate_splits_into_two_with_diagnostic():
         (dict(k="two", n=8, a=[1], b=[1]), Bounds),
         (dict(k=2, n=8, a=5, b=[1]), Bounds),  # parts are sequences
         (dict(k=2, n=8, a=[1], b=None), Bounds),
+        (dict(k=2, n=8, a=[2, 2], b=[]), NotStrictlyIncreasing),  # equal parts
+        (dict(k=2, n=8, a=[], b=[1, 1]), NotStrictlyIncreasing),
     ],
 )
 def test_validate_rejects(kwargs, err):
