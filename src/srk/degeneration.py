@@ -125,12 +125,15 @@ class TraceNode(Fields):
         return "\n".join([line] + [c.render(indent + 1) for c in self.children])
 
 
-class _Sink(NamedTuple):
+class _Sink:
     """The node of an untraced step: it holds the diagram and records
     nothing; ``_grow`` hands it back for every derived diagram."""
 
-    diagram: QuadricDiagram
+    __slots__ = ("diagram",)
     children = None
+
+    def __init__(self, diagram: QuadricDiagram):
+        self.diagram = diagram
 
 
 def _is_terminal(D: QuadricDiagram, push: bool) -> bool:

@@ -9,26 +9,22 @@ for each quadric; the l-th digit equals j when r_{j-1} < l <= r_j (r_0 = 0)
 and 0 when l > r_q.  When m is even, an isotropic space of dimension m/2 in
 the second family is marked ``]'``.
 
-Admissibility conditions checked here, by label:
-
-  (1)   coranks nested inward: r_1 <= ... <= r_q and r_j <= d_j;
-  (2)   flag/singular-locus containment pattern -- encoded by the diagram
-        itself, recorded as convention-satisfied;
-  (3)   either all coranks equal r_1 with r_1 among the bracket dimensions,
-        or r_t - r_i >= t - i - 1 for all t > i, with an extra constraint on
-        consecutive equal coranks above r_1;
-  (A1)  r_q <= d_q - 3;
-  (A2)  n_i - r_j != 1 for every bracket/quadric pair;
-  (A3)  x_j >= k - j + 1 - floor((d_j - r_j)/2), where x_j = #{i : n_i <= r_j}.
+Admissibility is conditions (1)-(3) and (A1)-(A3) of Coskun, *Restriction
+varieties and geometric branching rules* (Adv. Math. 2011).  (1), coranks
+nested inward, and (2), the containment pattern of flag elements and
+singular loci, hold for every diagram the constructor accepts: the diagram
+encodes them.  (3) and (A1)-(A3) are each stated once, in ``_place``, as a
+rule on the chain of quadrics placed so far and the next one;
+``check_conditions`` folds it over a diagram's quadrics.
 
 ``enumerate_diagrams`` yields only admissible diagrams, one bracket set
-(``bracket_sets``) at a time (``diagrams_with``).  It prunes each quadric
-chain while generating it: a corank that breaks flag existence, (3) or one
-of (A1)-(A3) given the chain placed so far is skipped with its whole
-subtree, so every diagram it yields is admissible by construction and is not
-checked again there; the tests assert ``check_conditions`` on every one.
-Asked for one dimension, it also skips every chain whose diagram cannot have
-it, so the diagrams of one dimension cost less than a walk of the space.
+(``bracket_sets``) at a time (``diagrams_with``).  It calls ``_place`` at
+each corank it tries, and skips a corank under which the chain can no longer
+pass with its whole subtree, so every diagram it yields is admissible by
+construction and is not checked again there; the tests assert
+``check_conditions`` on every one.  Asked for one dimension, it also skips
+every chain whose diagram cannot have it, so the diagrams of one dimension
+cost less than a walk of the space.
 Besides the enumerator, admissibility is decided only by the degeneration
 engine: at entry, for a root, and in its repair loops, for a derived diagram.
 
@@ -39,6 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import combinations
+from math import inf
 from operator import add
 from typing import NamedTuple
 
@@ -223,16 +220,6 @@ def x_profile(D: QuadricDiagram) -> tuple:
     return tuple([bisect_right(dims, r) for r in D.rs])
 
 
-def _a2_bracket(D: QuadricDiagram):
-    """The first bracket dimension n_i with n_i = r_j + 1 for some j, where
-    (A2) fails; None when (A2) holds."""
-    rs = D.rs
-    for v in D.bracket_dims:
-        if v - 1 in rs:
-            return v
-    return None
-
-
 def diagram_dimension(D: QuadricDiagram) -> int:
     """Dimension of the restriction variety of D, by the closed form
 
@@ -250,76 +237,131 @@ def diagram_dimension(D: QuadricDiagram) -> int:
     return total
 
 
+def _a1_cap(d: int) -> int:
+    """(A1): the innermost quadric has rank at least 3, so its corank is at
+    most d_q - 3."""
+    return d - 3
+
+
+# What conditions (3) and (A1)-(A3) carry from an empty chain; see ``_place``.
+_NO_QUADRICS = (False, None, False, (), True)
+
+
+def _place(k: int, dims: tuple, ds: tuple, rs, j: int, r: int, x: int, state: tuple) -> tuple:
+    """Place Q_{d_{j+1}}^r as quadric j + 1 (0-based j) of a k-part diagram
+    with bracket dimensions ``dims`` and quadric dimensions ``ds``, under
+    the quadrics 1..j already placed with coranks ``rs`` and leaving
+    ``state``; x = #{i : n_i <= r}.  Returns the state of quadrics 1..j + 1.
+    Conditions (3) and (A1)-(A3) are stated here and nowhere else, and are
+    read on the chain so far: only d_1..d_{j+1} and r_1..r_j are looked at,
+    and the whole of ``ds`` only for its length.
+
+    A state is (first, fail3, tail, fails, live): whether the first clause of
+    (3) holds so far; the failure of its second clause that it reports, or
+    None; whether the chain holds an equal pair above r_1; the failures of
+    (A1)-(A3) in order; and whether the chain can still pass every
+    condition.  A failure is (label or key, format, *args), and
+    ``format.format(*args)`` is its witness.
+
+      (3)   the first clause: every corank equals r_1, and r_1 is a bracket
+            dimension (the verdict hinges on reading "r_i = r_1 = n_{r_1}"
+            this way, hence a warning when it alone decides); or the
+            second clause: r_t - r_i >= t - i - 1 for all t > i, which holds
+            at t = i + 1 as the coranks never fall, and at the first equal
+            pair above r_1, r_{t-1} = r_t > r_1, adjacent braces, d_{t-1} -
+            d_t = 1, and d_{i-1} - d_i = r_i - r_{i-1} for every later i.
+            Once that pair passes, every later corank step is at least 1
+            (the d's strictly decrease), so no later pair needs the check.
+            The witness is the least failing pair (i, t), i first, and else
+            the first failing brace step.
+      (A1)  r_q <= d_q - 3 (``_a1_cap``) on the innermost quadric.
+      (A2)  r_j + 1 is not a bracket dimension: n_i - r_j != 1.
+      (A3)  x_j >= k - j + 1 - floor((d_j - r_j)/2).
+
+    ``live`` turns false at the first quadric that breaks one of (A1)-(A3),
+    or after which both clauses of (3) are broken; as a failure is never
+    taken back, every chain that extends it fails too.
+    """
+    first, fail3, tail, fails, _ = state
+    d = ds[j]
+    if j:
+        first = first and r == rs[0]
+        if j > 1:
+            # only a pair with a smaller i than the reported one replaces it
+            for i in range(j - 1 if fail3 is None else min(j - 1, fail3[0])):
+                if r - rs[i] < j - i - 1:
+                    fail3 = (i, "r_{} - r_{} < {}", j + 1, i + 1, j - i - 1)
+                    break
+        if fail3 is None:
+            # a brace step failure sorts after every pair failure
+            if tail:
+                if r - rs[j - 1] != ds[j - 1] - d:
+                    fail3 = (inf, "d_{} - d_{} != r gap", j, j + 1)
+            elif r == rs[j - 1] > rs[0]:
+                tail = True
+                if ds[j - 1] - d != 1:
+                    fail3 = (inf, "d_{} - d_{} != 1", j, j + 1)
+    else:
+        first = r in dims
+    if j == len(ds) - 1 and r > _a1_cap(d):
+        fails += (("A1", "r_q = {} > {}", r, _a1_cap(d)),)
+    if r + 1 in dims:
+        fails += (("A2", "bracket {} = r_{} + 1", r + 1, j + 1),)
+    need = k - j - (d - r) // 2
+    if x < need:
+        fails += (("A3", "x_{} = {} < {}", j + 1, x, need),)
+    return first, fail3, tail, fails, not fails and (fail3 is None or first)
+
+
+def _fold(D: QuadricDiagram, xs: tuple) -> tuple:
+    """The state ``_place`` leaves after D's last quadric; xs is
+    ``x_profile(D)``."""
+    state = _NO_QUADRICS
+    k, dims, ds, rs = D.k, D.bracket_dims, D.ds, D.rs
+    for j, r in enumerate(rs):
+        state = _place(k, dims, ds, rs, j, r, xs[j], state)
+    return state
+
+
+def _a2_bracket(D: QuadricDiagram):
+    """The bracket dimension r_j + 1 of the first quadric j that fails (A2);
+    None when (A2) holds.  As brackets and coranks both increase, it is also
+    the least bracket n_i with n_i - 1 among the coranks."""
+    for failure in _fold(D, x_profile(D))[3]:
+        if failure[0] == "A2":
+            return failure[2]
+    return None
+
+
+def _witness(failure: tuple) -> str:
+    return failure[1].format(*failure[2:])
+
+
 def check_conditions(D: QuadricDiagram) -> AdmissibilityReport:
     """Evaluate conditions (1)-(3) and (A1)-(A3); verdicts, not exceptions.
 
-    Every condition is decided in one pass over the parts.  The constructor
-    keeps the coranks nondecreasing, so r_t - r_i >= t - i - 1 holds for
-    t = i + 1 and all coranks equal r_1 exactly when r_q does.
+    Folds ``_place``, which states (3) and (A1)-(A3), over the quadrics;
+    each failing label reports its first failure.  (1) and (2) hold for
+    every diagram the constructor accepts.
     """
-    ds, rs, dims = D.ds, D.rs, D.bracket_dims
-    q = D.q
     xs = x_profile(D)
-
-    # (3): the first clause, or the second, r_t - r_i >= t - i - 1 for all
-    # t > i and, at the first equal pair above r_1, adjacent braces and
-    # d_i - d_{i+1} = r_{i+1} - r_i from there inward.  When that pair
-    # passes, every later corank step is at least 1 (the d's strictly
-    # decrease), so the first pair is the only one to check.
-    first = bool(q) and rs[-1] == rs[0] and rs[0] in dims
-    wit3 = None
-    for i in range(q - 2):
-        for t in range(i + 2, q):
-            if rs[t] - rs[i] < t - i - 1:
-                wit3 = f"r_{t + 1} - r_{i + 1} < {t - i - 1}"
-                break
-        if wit3:
-            break
-    else:
-        for t in range(1, q):
-            if rs[t] == rs[t - 1] > rs[0]:
-                if ds[t - 1] - ds[t] != 1:
-                    wit3 = f"d_{t} - d_{t + 1} != 1"
-                else:
-                    for i in range(t, q - 1):
-                        if ds[i] - ds[i + 1] != rs[i + 1] - rs[i]:
-                            wit3 = f"d_{i + 1} - d_{i + 2} != r gap"
-                            break
-                break
-    second = wit3 is None
-    # the verdict hinges on reading "r_i = r_1 = n_{r_1}" as "all coranks
-    # equal r_1 and r_1 is a bracket dimension"
-    warnings = ("COND3-FIRST-CLAUSE",) if first and not second else ()
-
-    okA1 = not q or rs[-1] <= ds[-1] - 3
-
-    v = _a2_bracket(D)
-    witA2 = None if v is None else f"bracket {v} = r_{rs.index(v - 1) + 1} + 1"
-
-    witA3 = None
-    k = D.k
-    for j in range(1, q + 1):
-        need = k - j + 1 - (ds[j - 1] - rs[j - 1]) // 2
-        if xs[j - 1] < need:
-            witA3 = f"x_{j} = {xs[j - 1]} < {need}"
-            break
-
-    return AdmissibilityReport(
-        {
-            # (1): nondecreasing coranks, r_j <= d_j.  The constructor rejects
-            # any diagram that breaks it, so it holds for every QuadricDiagram.
-            "1": (True, None),
-            # (2): the containment pattern between flag elements and singular
-            # loci is exactly what the digit/bracket layout encodes.
-            "2": (True, "convention: encoded by the diagram"),
-            "3": (True, None) if first or second else (False, wit3),
-            "A1": (True, None) if okA1 else (False, f"r_q = {rs[-1]} > {ds[-1] - 3}"),
-            "A2": (witA2 is None, witA2),
-            "A3": (witA3 is None, witA3),
-        },
-        xs,
-        warnings,
-    )
+    first, fail3, _, fails, _ = _fold(D, xs)
+    conditions = {
+        # (1): nondecreasing coranks, r_j <= d_j.  The constructor rejects
+        # any diagram that breaks it, so it holds for every QuadricDiagram.
+        "1": (True, None),
+        # (2): the containment pattern between flag elements and singular
+        # loci is exactly what the digit/bracket layout encodes.
+        "2": (True, "convention: encoded by the diagram"),
+        "3": (True, None) if first or fail3 is None else (False, _witness(fail3)),
+        "A1": (True, None),
+        "A2": (True, None),
+        "A3": (True, None),
+    }
+    for failure in reversed(fails):
+        conditions[failure[0]] = (False, _witness(failure))
+    warnings = ("COND3-FIRST-CLAUSE",) if first and fail3 is not None else ()
+    return AdmissibilityReport(conditions, xs, warnings)
 
 
 # --- text forms ------------------------------------------------------------
@@ -459,98 +501,72 @@ def parse_diagram(text: str) -> QuadricDiagram:
 
 def _quadric_profiles(q, m, dims, k, total=None):
     """All (d, r) chains that can sit under the brackets ``dims`` in a
-    k-part diagram: d strictly decreasing >= the largest bracket, r
-    nondecreasing, r_j <= d_j and d_j + r_j <= m.  Deterministic order.
-
-    While the chain is filled, a corank is skipped as soon as the chain so
-    far breaks a rule, so no chain is built that must fail:
-
-      flag existence  r_j >= 2 n_s - d_j (the constructor's rule);
-      (A1)            r_q <= d_q - 3 on the innermost quadric;
-      (A2)            r_j + 1 is not a bracket dimension;
-      (A3)            #{i : n_i <= r_j} >= k - j + 1 - floor((d_j - r_j)/2);
-      (3)             the second clause for the chain so far (below), or
-                      else the first: every corank equals r_1 and r_1 is a
-                      bracket dimension.
-
-    The second clause of (3) is decided corank by corank: r_j - r_i >=
-    j - i - 1 for every earlier i; at the first equal pair above r_1,
-    r_{t-1} = r_t > r_1, the braces are adjacent, d_{t-1} - d_t = 1; after
-    that pair each step keeps r_j - r_{j-1} = d_{j-1} - d_j.
+    k-part admissible diagram, in a deterministic order: d strictly
+    decreasing, r nondecreasing, d_j + r_j <= m, and flag existence r_j >=
+    2 n_s - d_j (the constructor's rule).  Each corank is placed by
+    ``_place``, and one under which the chain can no longer pass (3) or
+    (A1)-(A3) is skipped with its whole subtree; every corank is at most
+    r_q, which (A1) caps (``_a1_cap``).  So every chain yielded passes (1)-(3)
+    and (A1)-(A3), and the survivors come in the same order as in an
+    unpruned loop.
 
     With ``total``, only the chains with sum_j (d_j + x_j) = total are
     built, x_j = #{i : n_i <= r_j}.  Each x_j lies in 0..s, and since r_t
-    <= m - d_t and r_t <= r_q <= d_q - 3, x_t <= #{i : n_i <= min(m - d_t,
-    d_q - 3)}; a d-set whose sum exceeds the total, or falls short of it by
-    more than qs or than these bounds add up to, is skipped.  The x_j never
-    decrease along the chain, and a corank whose x_j leaves the rest of the
-    chain unable to meet the total is skipped with its subtree.
-
-    Every chain yielded passes (1)-(3) and (A1)-(A3).  The skipped coranks
-    would all fail later, so the survivors come in the same order as in an
-    unpruned loop.
+    <= m - d_t and r_t <= r_q <= d_q - 3 by (A1), x_t <= #{i : n_i <=
+    min(m - d_t, d_q - 3)}; a d-set whose sum exceeds the total, or falls
+    short of it by more than qs or than these bounds add up to, is skipped.
+    The x_j never decrease along the chain, and a corank whose x_j leaves
+    the rest of the chain unable to meet the total is skipped with its
+    subtree.
     """
     if q == 0:
         if total is None or total == 0:
             yield ()
         return
     top = dims[-1] if dims else 0
-    # 2 n_s - d_q <= r_q <= d_q - 3 (flag existence, (A1)), so d_q >= n_s + 2
-    # and d_q >= 3; a d-set with a smaller d_q yields no chain
-    lo = max(top + 2, 3)
+    # the least d_q that leaves the innermost quadric a corank r_q between
+    # flag existence, r_q >= 2 n_s - d_q, and (A1)
+    lo = top
+    while max(2 * top - lo, 0) > _a1_cap(lo):
+        lo += 1
     need = room = None
+    last = q - 1
+    acc = []  # the coranks placed so far
     x_at = [bisect_right(dims, v) for v in range(m + 1)]  # x_j for r_j = v
     for dset in combinations(range(lo, m + 1), q):
-        ds = tuple(reversed(dset))  # d_1 > ... > d_q
         if total is not None:
             need = total - sum(dset)  # what sum_j x_j must come to
             if not 0 <= need <= q * len(dims):  # each x_j lies in 0..s
                 continue
+        ds = tuple(reversed(dset))  # d_1 > ... > d_q
+        cap = _a1_cap(dset[0])  # every corank is at most r_q
+        if need is not None:
             # room[j]: the most that x_{j+1}, ..., x_q can add up to
             room = [0] * (q + 1)
             for t in range(q - 1, -1, -1):
-                room[t] = room[t + 1] + x_at[min(m - ds[t], dset[0] - 3)]
+                room[t] = room[t + 1] + x_at[min(m - ds[t], cap)]
             if room[0] < need:
                 continue
 
-        def fill(j, prev_r, acc, second, tail, xsum):
-            # second: the chain so far passes the second clause of (3);
-            # tail: it holds an equal pair above r_1; xsum: sum of its x's
-            if j == q:
-                yield tuple(acc)
-                return
+        def fill(j, prev_r, state, xsum):
             d = ds[j]
-            cap = min(d, m - d)
-            if j == q - 1:
-                cap = min(cap, d - 3)  # (A1)
-            for r in range(max(prev_r, 2 * top - d), cap + 1):
+            for r in range(max(prev_r, 2 * top - d), min(m - d, cap) + 1):
                 x = x_at[r]
                 if need is not None:
                     if xsum + (q - j) * x > need:
                         break  # x only grows with r
                     if xsum + x + room[j + 1] < need:
                         continue
-                # (A2), then (A3) for the quadric numbered j + 1
-                if r + 1 in dims or x < k - j - (d - r) // 2:
-                    continue
-                ok, pair = second, tail
-                if j and ok:
-                    for i in range(j - 1):
-                        if r - acc[i] < j - i - 1:
-                            ok = False
-                            break
+                placed = _place(k, dims, ds, acc, j, r, x, state)
+                if placed[-1]:  # the chain can still pass
+                    acc.append(r)
+                    if j == last:
+                        yield tuple(acc)
                     else:
-                        if tail:
-                            ok = r - prev_r == ds[j - 1] - d
-                        elif r == prev_r > acc[0]:
-                            ok, pair = ds[j - 1] - d == 1, True
-                if not ok and not (r == acc[0] and r in dims):
-                    continue
-                acc.append(r)
-                yield from fill(j + 1, r, acc, ok, pair, xsum + x)
-                acc.pop()
+                        yield from fill(j + 1, r, placed, xsum + x)
+                    acc.pop()
 
-        for rs in fill(0, 0, [], True, False, 0):
+        for rs in fill(0, 0, _NO_QUADRICS, 0):
             yield tuple(map(Quadric, ds, rs))
 
 

@@ -121,6 +121,15 @@ def test_condition3_tail_clause():
     assert "3" not in check_conditions(good).failed()
 
 
+def test_condition3_witness_is_the_least_pair_i_first():
+    # read corank by corank, r_4 - r_2 < 1 fails before r_5 - r_1 < 3
+    rep = check_conditions(D(20, [], [(15, 1), (13, 3), (12, 3), (11, 3), (10, 3)]))
+    assert rep.conditions["3"] == (False, "r_5 - r_1 < 3")
+    # d_2 - d_3 != 1 fails before r_4 - r_1 < 2, which is reported instead
+    rep = check_conditions(D(12, [], [(9, 0), (7, 1), (5, 1), (4, 1)]))
+    assert rep.conditions["3"] == (False, "r_4 - r_1 < 2")
+
+
 def test_condition3_first_clause_warns_when_deciding():
     # all coranks equal a bracket dimension, but the gap rule fails
     rep = check_conditions(D(9, [1], [(7, 1), (6, 1), (5, 1)]))
@@ -293,7 +302,7 @@ def test_pruned_enumeration_matches_unpruned_reference():
     no check of its own, so every diagram it yields must pass the full check;
     and every diagram's stored shape matches its parts."""
     spaces = [(k, m) for k in range(1, 4) for m in range(1, 13)]
-    # (4, 11) is the space of the failing witness_sweep queries
+    # k = 4 brings chains of four quadrics; (4, 11) is where witness_sweep samples a query
     for k, m in spaces + [(4, 9), (4, 10), (4, 11)]:
         got = list(enumerate_diagrams(k, m))
         assert got == list(_unpruned_diagrams(k, m)), (k, m)
