@@ -32,16 +32,23 @@ as the cached call.
 Admissibility is the one contract of every step, decided once per diagram.
 Every public entry (``expand``, ``pushforward_diagram``, ``step`` and
 ``derive_and_fix_a/b``) checks its root with ``_entry_check``.  A derived
-diagram is checked only inside the repair loops: ``_algorithm1`` and
-``_algorithm2`` emit a child only after its report passes, so the recursion
-never checks a child again, and the (A3) probe that picks ``Both`` hands its
-report on to ``_algorithm1``.  Every diagram a step starts from is therefore
-admissible, and these constructions rely on it: ``_bump`` builds D^a directly
-((A1) keeps each raised corank below every d_j); ``_derive_b`` moves its
-bracket onto r_kappa + 1 directly ((A2) keeps that position free);
-``_algorithm2`` always finds a brace to slide, because no D^b iterate has a
-bracket at r_q + 1; and ``_algorithm1``'s (A2) repair always finds quadric
-kappa, because a copy split off at quadric kappa never fails (A2).
+diagram is checked only inside the two repair loops, ``_algorithm1`` for
+D^a and ``_derive_b`` for D^b.  Each is one loop that reads one
+``check_conditions`` report per diagram it reaches: the report's first
+failures (``AdmissibilityReport.failures``) pick the repair, the (A2)
+bracket included, and the last report is the verdict.  ``_algorithm1``
+repairs the two copies of an (A1) split by calling itself on each.  The
+two loops stay apart because they repair (A2) at different quadrics: D^a at
+kappa, D^b at the last quadric of corank p - 1, p the first failing bracket.
+A loop emits a child only after its report passes, so the recursion never
+checks a child again, and the (A3) probe that picks ``Both`` hands its
+report on to ``_algorithm1``.  Every diagram a step starts from is therefore admissible, and these
+constructions rely on it: ``_bump`` builds D^a directly ((A1) keeps each
+raised corank below every d_j); ``_derive_b`` moves its bracket onto
+r_kappa + 1 directly ((A2) keeps that position free), and always finds a
+brace to slide, because no D^b iterate has a bracket at r_q + 1; and
+``_algorithm1``'s (A2) repair always finds quadric kappa, because a copy
+split off at quadric kappa never fails (A2).
 
 Four monotonicity facts hold along every derivation, read off the rules:
 
@@ -69,7 +76,6 @@ from .diagrams import (
     Bracket,
     Quadric,
     QuadricDiagram,
-    _a2_bracket,
     check_conditions,
     print_diagram,
 )
@@ -127,7 +133,8 @@ class TraceNode(Fields):
 
 class _Sink:
     """The node of an untraced step: it holds the diagram and records
-    nothing; ``_grow`` hands it back for every derived diagram."""
+    nothing; ``_grow`` hands it back for every derived diagram, and
+    ``_expand_node`` takes its children's classes from the cache."""
 
     __slots__ = ("diagram",)
     children = None
@@ -188,10 +195,6 @@ def _grow(node, diagram, rule: str, note: str | None = None):
     return child
 
 
-def _cond(rep, label):
-    return rep.conditions[label][0]
-
-
 def _bump(D: QuadricDiagram, kap: int) -> QuadricDiagram:
     """The corank bump D^a before any repair.  (A1) gives r_q <= d_q - 3, so
     every raised corank stays below every d_j."""
@@ -222,48 +225,45 @@ def _split_a1(cur: QuadricDiagram, push: bool):
     return base, second
 
 
-def _algorithm1(Da: QuadricDiagram, kap: int, push: bool, node: TraceNode, rep=None):
-    """D^a, recorded under ``node``, and its repair loop, which starts from
-    D^a's report ``rep`` when the caller has one; returns the surviving
-    (diagram, trace node) pairs."""
-    out = []
-    work = [(Da, _grow(node, Da, "Da"), rep)]
-    while work:
-        cur, cur_node, rep = work.pop(0)
-        for _ in range(4 * cur.m + 8):
-            if rep is None:
-                rep = check_conditions(cur)
-            if not _cond(rep, "A3"):
-                _grow(cur_node, None, "Discard", f"(A3) fails: {rep.witness('A3')}")
-                break
-            if not _cond(rep, "A2"):
-                fixed = _fix_a2(cur, kap)
-                if fixed is None:
-                    _grow(cur_node, None, "Discard", "structural collision while repairing (A2)")
-                    break
-                cur, cur_node, rep = fixed, _grow(cur_node, fixed, "FixA2"), None
-                continue
-            if not _cond(rep, "A1"):
-                pair = _split_a1(cur, push)
-                if pair is None:
-                    _grow(cur_node, None, "Discard", "structural collision while splitting (A1)")
-                    break
-                work.extend((copy, _grow(cur_node, copy, "FixA1Split"), None) for copy in pair)
-                break
-            if not rep.ok:
-                # the corank rules repair (A1)-(A3) only; a corank bump can
-                # break condition (3) when four or more quadrics carry a
-                # non-monotone d+r profile, which lies outside the family the
-                # rewriting rules preserve
-                raise EngineInvariantError(
-                    f"{print_diagram(cur)} fails {rep.failed()} after repairs; "
-                    "the derivation left the admissible family"
-                )
-            out.append((cur, cur_node))
-            break
-        else:
-            raise EngineInvariantError(f"(A2) repair loop stuck on {print_diagram(cur)}")
-    return out
+def _algorithm1(cur: QuadricDiagram, kap: int, push: bool, node, rep=None):
+    """The repair loop of D^a, from ``cur`` recorded as ``node`` and its
+    report ``rep`` when the caller has one; returns the surviving (diagram,
+    trace node) pairs.  Each diagram the loop reaches is checked once, and
+    the two copies of an (A1) split are repaired by a call each."""
+    for _ in range(4 * cur.m + 8):
+        if rep is None:
+            rep = check_conditions(cur)
+        failures = rep.failures
+        if "A3" in failures:
+            _grow(node, None, "Discard", f"(A3) fails: {rep.witness('A3')}")
+            return []
+        if "A2" in failures:
+            fixed = _fix_a2(cur, kap)
+            if fixed is None:
+                _grow(node, None, "Discard", "structural collision while repairing (A2)")
+                return []
+            cur, node, rep = fixed, _grow(node, fixed, "FixA2"), None
+            continue
+        if "A1" in failures:
+            pair = _split_a1(cur, push)
+            if pair is None:
+                _grow(node, None, "Discard", "structural collision while splitting (A1)")
+                return []
+            out = []
+            for copy in pair:
+                out += _algorithm1(copy, kap, push, _grow(node, copy, "FixA1Split"))
+            return out
+        if not rep.ok:
+            # the corank rules repair (A1)-(A3) only; a corank bump can
+            # break condition (3) when four or more quadrics carry a
+            # non-monotone d+r profile, which lies outside the family the
+            # rewriting rules preserve
+            raise EngineInvariantError(
+                f"{print_diagram(cur)} fails {rep.failed()} after repairs; "
+                "the derivation left the admissible family"
+            )
+        return [(cur, node)]
+    raise EngineInvariantError(f"(A2) repair loop stuck on {print_diagram(cur)}")
 
 
 def derive_and_fix_a(D: QuadricDiagram, pushforward: bool = False):
@@ -274,39 +274,39 @@ def derive_and_fix_a(D: QuadricDiagram, pushforward: bool = False):
     return [d for d, _ in pairs]
 
 
-def _algorithm2(Db: QuadricDiagram, node: TraceNode):
-    """Repair loop for D^b; returns [(diagram, node)] or []."""
-    cur, cur_node = Db, node
-    for _ in range(4 * Db.m + 8):
-        p = _a2_bracket(cur)
-        if p is None:
-            break
-        # no bracket sits at r_q + 1, so p <= r_q and the digit i at p is at
-        # least 2; p = r_j + 1 and r_{i-1} < p <= r_i force r_{i-1} = p - 1
-        built = _fix_a2(cur, cur.digit_at(p) - 1)
-        if built is None:
-            _grow(cur_node, None, "Discard", "two braces would collide")
-            return []
-        cur, cur_node = built, _grow(cur_node, built, "FixB")
-    else:
-        raise EngineInvariantError(f"(A2) repair loop stuck on {print_diagram(cur)}")
-    rep = check_conditions(cur)
-    if not rep.ok:
-        _grow(cur_node, None, "Discard", f"inadmissible after repairs: {rep.failed()}")
-        return []
-    return [(cur, cur_node)]
-
-
-def _derive_b(Da, kap: int, node: TraceNode):
-    """D^b (a bracket moved in D^a) and its repairs, recorded under ``node``."""
+def _derive_b(Da: QuadricDiagram, kap: int, node):
+    """D^b (a bracket moved in D^a), recorded under ``node``, and its repair
+    loop; returns [(diagram, trace node)] or [].  Each iterate is checked
+    once, and its report gives both the (A2) failure to repair next and,
+    for the last one, the verdict."""
     p = Da.quadrics[kap - 1].r
     movable = [b for b in Da.brackets if b.dim > p]
     if not movable:
         return []
     keep = [b for b in Da.brackets if b is not movable[0]]
     # (A2) keeps p off the brackets, and the move never raises the top one
-    Db = QuadricDiagram(Da.m, sorted(keep + [Bracket(p, False)]), Da.quadrics)
-    return _algorithm2(Db, _grow(node, Db, "Db"))
+    cur = QuadricDiagram(Da.m, sorted(keep + [Bracket(p, False)]), Da.quadrics)
+    node = _grow(node, cur, "Db")
+    for _ in range(4 * cur.m + 8):
+        rep = check_conditions(cur)
+        a2 = rep.failures.get("A2")
+        if a2 is None:
+            break
+        # the first (A2) failure's bracket p = r_j + 1 is the least bracket
+        # with p - 1 among the coranks; no bracket sits at r_q + 1, so
+        # p <= r_q and the digit i at p is at least 2; p = r_j + 1 and
+        # r_{i-1} < p <= r_i force r_{i-1} = p - 1
+        built = _fix_a2(cur, cur.digit_at(a2[2]) - 1)
+        if built is None:
+            _grow(node, None, "Discard", "two braces would collide")
+            return []
+        cur, node = built, _grow(node, built, "FixB")
+    else:
+        raise EngineInvariantError(f"(A2) repair loop stuck on {print_diagram(cur)}")
+    if not rep.ok:
+        _grow(node, None, "Discard", f"inadmissible after repairs: {rep.failed()}")
+        return []
+    return [(cur, node)]
 
 
 def derive_and_fix_b(D: QuadricDiagram, pushforward: bool = False):
@@ -344,13 +344,13 @@ def _step(node, push: bool):
     Da = _bump(D, kap)
     if n_s_le_r or gap_test:
         chosen = "DaOnly"
-        pairs = _algorithm1(Da, kap, push, node)
-    elif not _cond(rep := check_conditions(Da), "A3"):
+        pairs = _algorithm1(Da, kap, push, _grow(node, Da, "Da"))
+    elif "A3" in (rep := check_conditions(Da)).failures:
         chosen = "DbOnly"
         pairs = _derive_b(Da, kap, node)
     else:
         chosen = "Both"
-        pairs = _algorithm1(Da, kap, push, node, rep) + _derive_b(Da, kap, node)
+        pairs = _algorithm1(Da, kap, push, _grow(node, Da, "Da"), rep) + _derive_b(Da, kap, node)
     if node.children is not None:
         node.note = f"κ={kap} x={x_kap} y={y_kap} → {chosen}"
         if ambiguous:
@@ -373,24 +373,25 @@ def _terminal_basis(D: QuadricDiagram, push: bool):
     return diagram_to_og(D)
 
 
-def _expand_node(node, push: bool, traced: bool) -> ClassSum:
-    """Class of ``node.diagram``; a traced call records the whole derivation
-    under ``node``, an untraced one takes each child's class from the cache.
-    A node with one child shares that child's class."""
+def _expand_node(node, push: bool) -> ClassSum:
+    """Class of ``node.diagram``.  On a ``TraceNode`` the whole derivation is
+    recorded under ``node``; on a ``_Sink``, which records nothing, each
+    child's class is taken from the cache.  A node with one child shares
+    that child's class."""
     D = node.diagram
     if _is_terminal(D, push):
         return ClassSum.single(_terminal_basis(D, push))
     _, pairs = _step(node, push)
-    subs = []
-    for child, child_node in pairs:
-        sub = _expand_node(child_node, push, True) if traced else _expand_cached(child, push)
-        subs.append(sub)
+    if node.children is None:
+        subs = [_expand_cached(child, push) for child, _ in pairs]
+    else:
+        subs = [_expand_node(child_node, push) for _, child_node in pairs]
     return subs[0] if len(subs) == 1 else ClassSum(chain.from_iterable(subs))
 
 
 @lru_cache(maxsize=None)
 def _expand_cached(D, push):
-    return _expand_node(_Sink(D), push, False)
+    return _expand_node(_Sink(D), push)
 
 
 def _entry_check(D: QuadricDiagram):
@@ -422,7 +423,7 @@ def _expand_root(D: QuadricDiagram, push: bool, trace: bool, what: str):
         if not trace:
             return _expand_cached(D, push)
         root = TraceNode(D, "Root")
-        return _expand_node(root, push, True), root
+        return _expand_node(root, push), root
     except RecursionError:
         raise DepthExceeded(f"{what} of {print_diagram(D)} does not bottom out")
 

@@ -192,15 +192,19 @@ def digits(D: QuadricDiagram) -> list:
 
 class AdmissibilityReport(Fields):
     """Per-condition verdicts, label -> (passed, witness); ``witness``
-    describes the first violation.  ``ok`` is decided once, at construction."""
+    describes the first violation.  ``failures`` keeps the first failure of
+    each failing label among (A1)-(A3) as ``_place`` returns it, (label,
+    format, *args), so a repair can read its arguments.  ``ok`` is decided
+    once, at construction."""
 
-    __slots__ = ("conditions", "x", "warnings", "ok")
+    __slots__ = ("conditions", "x", "warnings", "failures", "ok")
     _fields = ("conditions", "x", "warnings")
 
-    def __init__(self, conditions=None, x=(), warnings=()):
+    def __init__(self, conditions=None, x=(), warnings=(), failures=None):
         self.conditions = {} if conditions is None else conditions
         self.x = x
         self.warnings = warnings
+        self.failures = {} if failures is None else failures
         self.ok = True
         for passed, _ in self.conditions.values():
             if not passed:
@@ -220,21 +224,25 @@ def x_profile(D: QuadricDiagram) -> tuple:
     return tuple([bisect_right(dims, r) for r in D.rs])
 
 
+def _dimension_offset(dims, q: int) -> int:
+    """The part of the dimension closed form that the bracket dimensions
+    ``dims`` and the number q of quadrics fix: a diagram's dimension is
+
+        sum_i n_i - s(s+1)/2 - 2sq - q(q+1) + sum_j (d_j + x_j),
+
+    x_j = #{i : n_i <= r_j}, and this returns all but the last sum."""
+    s = len(dims)
+    return sum(dims) - s * (s + 1) // 2 - 2 * s * q - q * (q + 1)
+
+
 def diagram_dimension(D: QuadricDiagram) -> int:
-    """Dimension of the restriction variety of D, by the closed form
-
-        sum_i (n_i - i) + sum_j (d_j - 2s - 2j + x_j),  x_j = #{i : n_i <= r_j}.
-
-    On the Schubert diagram of an index (d_j = m - b_j, r_j = b_j) this is
-    ``og_dimension``'s formula.  Every term of ``expand(D)`` has this
-    dimension, and every diagram ``step`` derives from D has it too (both
-    checked exhaustively in the tests).
+    """Dimension of the restriction variety of D, by the closed form of
+    ``_dimension_offset``.  On the Schubert diagram of an index (d_j = m -
+    b_j, r_j = b_j) it is ``og_dimension``.  Every term of ``expand(D)`` has
+    this dimension, and every diagram ``step`` derives from D has it too
+    (both checked exhaustively in the tests).
     """
-    s = D.s
-    total = sum(D.bracket_dims) - s * (s + 1) // 2
-    for j, (d, x) in enumerate(zip(D.ds, x_profile(D)), start=1):
-        total += d - 2 * s - 2 * j + x
-    return total
+    return _dimension_offset(D.bracket_dims, D.q) + sum(D.ds) + sum(x_profile(D))
 
 
 def _a1_cap(d: int) -> int:
@@ -323,16 +331,6 @@ def _fold(D: QuadricDiagram, xs: tuple) -> tuple:
     return state
 
 
-def _a2_bracket(D: QuadricDiagram):
-    """The bracket dimension r_j + 1 of the first quadric j that fails (A2);
-    None when (A2) holds.  As brackets and coranks both increase, it is also
-    the least bracket n_i with n_i - 1 among the coranks."""
-    for failure in _fold(D, x_profile(D))[3]:
-        if failure[0] == "A2":
-            return failure[2]
-    return None
-
-
 def _witness(failure: tuple) -> str:
     return failure[1].format(*failure[2:])
 
@@ -358,10 +356,11 @@ def check_conditions(D: QuadricDiagram) -> AdmissibilityReport:
         "A2": (True, None),
         "A3": (True, None),
     }
-    for failure in reversed(fails):
-        conditions[failure[0]] = (False, _witness(failure))
+    failures = {failure[0]: failure for failure in reversed(fails)}  # the first wins
+    for label, failure in failures.items():
+        conditions[label] = (False, _witness(failure))
     warnings = ("COND3-FIRST-CLAUSE",) if first and fail3 is not None else ()
-    return AdmissibilityReport(conditions, xs, warnings)
+    return AdmissibilityReport(conditions, xs, warnings, failures)
 
 
 # --- text forms ------------------------------------------------------------
@@ -421,8 +420,6 @@ def _parse_compact(text: str) -> QuadricDiagram:
             i += 1
         else:
             raise DiagramSyntaxError(i, f"unexpected character {ch!r}")
-    if not digs:
-        raise DiagramSyntaxError(0, "no digits")
     m = len(digs)
     q = len(braces)
     seen_zero = False
@@ -586,16 +583,14 @@ def diagrams_with(k: int, m: int, brackets: tuple, dim: int | None = None):
     """The admissible k-part diagrams in ambient m on the tuple ``brackets``,
     in canonical order; with ``dim``, only those of ``diagram_dimension`` dim.
 
-    The dimension is not computed per diagram.  Its closed form fixes
-    sum_j (d_j + x_j) = dim - sum_i n_i + s(s+1)/2 + 2sq + q(q+1), and
+    The dimension is not computed per diagram.  Its closed form
+    (``_dimension_offset``) fixes sum_j (d_j + x_j) = dim - offset, and
     ``_quadric_profiles`` builds only the chains that meet that total, so a
     dimension with no diagrams yields nothing.
     """
     dims = tuple(b.dim for b in brackets)
-    s, q = len(dims), k - len(dims)
-    total = None
-    if dim is not None:
-        total = dim - sum(dims) + s * (s + 1) // 2 + 2 * s * q + q * (q + 1)
+    q = k - len(dims)
+    total = None if dim is None else dim - _dimension_offset(dims, q)
     for quadrics in _quadric_profiles(q, m, dims, k, total):
         yield QuadricDiagram(m, brackets, quadrics)
 

@@ -18,7 +18,9 @@ engine checks every diagram it is given.
 
 from __future__ import annotations
 
-from .diagrams import Bracket, Quadric, QuadricDiagram
+from bisect import bisect_right
+
+from .diagrams import Bracket, Quadric, QuadricDiagram, _dimension_offset
 from .errors import (
     BadArity,
     BadPrime,
@@ -194,19 +196,17 @@ def diagram_to_og(D: QuadricDiagram) -> OgIndex:
 
 
 def og_dimension(x: OgIndex) -> int:
-    """Dimension of the Schubert variety of ``x``, by the closed form
-
-        sum_i (a_i - i) + sum_j (n - b_j - s - 2j - #{i : a_i > b_j}).
+    """Dimension of the Schubert variety of ``x``: the closed form of
+    ``diagrams._dimension_offset`` on its Schubert diagram, with n_i = a_i,
+    d_j = n - b_j and x_j = #{i : a_i <= b_j}, read off the index without
+    building the diagram.
 
     The prime marker does not change the dimension, and the even-n boundary
     form b_{k-s} = n/2 - 1 gives the same value as its primed rewrite.  The
     fundamental class (s = 0, b = 0..k-1) has dimension k(2n - 3k - 1)/2.
     """
-    s = x.s
-    return sum(v - i for i, v in enumerate(x.a, start=1)) + sum(
-        x.n - bv - s - 2 * j - sum(1 for av in x.a if av > bv)
-        for j, bv in enumerate(x.b, start=1)
-    )
+    a, n = x.a, x.n
+    return _dimension_offset(a, len(x.b)) + sum([n - bv + bisect_right(a, bv) for bv in x.b])
 
 
 def og_merge_prime(x: OgIndex) -> OgIndex:

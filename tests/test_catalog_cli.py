@@ -28,7 +28,14 @@ from srk import (
     write_catalog,
 )
 from srk.cli import main as cli_main
-from srk.errors import CatalogIOError, InvalidDiagram, NotAdmissible, SchemaError
+from srk.errors import (
+    CatalogIOError,
+    InvalidDiagram,
+    NoIsotropicRoom,
+    NotAdmissible,
+    OutOfBounds,
+    SchemaError,
+)
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -552,3 +559,54 @@ def test_cli_enumerate_writes_catalog(tmp_path):
         "--filter", "rigid", "--out", str(rigid_only),
     )
     assert all(r.class_rigid for r in read_catalog(rigid_only))
+
+
+def test_cli_enumerate_filters_split_each_space(tmp_path):
+    # rigid and nonrigid records together read back as the whole catalog
+    for space, k, n in (("g", 2, 5), ("og", 2, 7)):
+        parts = {}
+        for which in ("all", "rigid", "nonrigid"):
+            path = tmp_path / f"{space}-{which}.jsonl"
+            out = run_cli(
+                "enumerate", "--space", space, "--k", str(k), "--n", str(n),
+                "--filter", which, "--out", str(path),
+            )
+            assert out.returncode == 0, out.stderr
+            parts[which] = read_catalog(path)
+        assert parts["all"] and parts["rigid"] and parts["nonrigid"]
+        assert {r.space for r in parts["all"]} == {"G" if space == "g" else "OG"}
+        assert all(r.class_rigid for r in parts["rigid"])
+        assert not any(r.class_rigid for r in parts["nonrigid"])
+        whole = sorted(parts["rigid"] + parts["nonrigid"], key=lambda r: r.sort_key)
+        assert whole == parts["all"]
+
+
+def test_cli_classify_human_prints_warnings():
+    out = run_cli("classify", "--space", "og", "--k", "2", "--n", "5", "--a", "-", "--b", "0,1")
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[-1] == "  warnings: SMALL-N-REGIME, NO-ESSENTIAL-B"
+
+
+def test_read_catalog_skips_blank_lines_and_names_lines_that_are_not_objects(tmp_path):
+    rec = build_record(validate_og(2, 6, [1], [1]))
+    p = tmp_path / "cat.jsonl"
+    p.write_text("\n" + rec.to_json_line() + "\n  \n")
+    assert read_catalog(p) == [rec]
+    for bad in ("{not json", "[1, 2]"):
+        p.write_text(rec.to_json_line() + "\n\n" + bad + "\n")
+        with pytest.raises(SchemaError) as exc:
+            read_catalog(p)
+        assert exc.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "enumerate_space,k,n,err",
+    [
+        (enumerate_og, 0, 4, OutOfBounds),
+        (enumerate_og, 3, 5, NoIsotropicRoom),
+        (enumerate_gr, 3, 2, OutOfBounds),
+    ],
+)
+def test_enumerate_rejects_sizes_without_indices(enumerate_space, k, n, err):
+    with pytest.raises(err):
+        list(enumerate_space(k, n))

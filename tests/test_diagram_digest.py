@@ -39,5 +39,22 @@ def test_diagram_digest_of_og_2_6(capsys):
     assert report["reports_sha256"] == _sha256(
         f"{srk.print_diagram(d)} {r.conditions} {r.x} {r.warnings}" for d, r in reports
     )
+    engine = []
+    for d in diagrams:
+        for push, run in ((False, srk.expand), (True, srk.pushforward_diagram)):
+            total, root = run(d, trace=True)
+            trace = json.dumps(root.to_json_dict(), separators=(",", ":"))
+            try:
+                decision, derived = srk.step(d, push)
+                stepped = f"{decision!r} {[srk.print_diagram(e) for e in derived]}"
+            except srk.errors.AlreadyTerminal as exc:
+                stepped = f"AlreadyTerminal: {exc}"
+            name = srk.print_diagram(d)
+            engine += [
+                f"{name} {push} class {run(d)!r}",
+                f"{name} {push} trace {total!r} {trace}",
+                f"{name} {push} step {stepped}",
+            ]
+    assert report["engine_sha256"] == _sha256(engine)
     assert (report["k"], report["m"]) == (2, 6)
     assert report["check_conditions_us"] > 0 and report["enumerate_ms"] > 0

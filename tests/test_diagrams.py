@@ -189,6 +189,13 @@ def test_canonical_form_is_compact_up_to_nine_quadrics():
         ("0]'000", MarkerMisplaced),
         ("m=6 k=3 a=2 q=5:0", DiagramSyntaxError),  # declared k mismatch
         ("m=8 k=1 a=3' q=-", MarkerMisplaced),
+        ("m=6 k=2 a=2 q", DiagramSyntaxError),  # a token without "="
+        ("m=6 k=2 a=2", DiagramSyntaxError),  # missing field q=
+        ("m=x k=2 a=2 q=5:0", DiagramSyntaxError),  # m is not an int
+        ("m=6 k=2 a=x q=5:0", DiagramSyntaxError),  # bad bracket
+        ("m=6 k=2 a=2 q=5", DiagramSyntaxError),  # bad quadric
+        ("}000", DiagramSyntaxError),  # brace before any digit
+        (" \t\n", DiagramSyntaxError),  # whitespace only
     ],
 )
 def test_parse_rejects(text, err):

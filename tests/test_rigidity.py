@@ -445,10 +445,10 @@ def _recording(monkeypatch):
         expanded.append(D)
         return real_expand(D)
 
-    def counting_node(node, push, traced):
-        if not traced:
+    def counting_node(node, push):
+        if isinstance(node, degeneration._Sink):
             derived.append(node.diagram)
-        return real_node(node, push, traced)
+        return real_node(node, push)
 
     monkeypatch.setattr(rigidity, "expand", counting_expand)
     monkeypatch.setattr(degeneration, "_expand_node", counting_node)
