@@ -31,24 +31,32 @@ as the cached call.
 
 Admissibility is the one contract of every step, decided once per diagram.
 Every public entry (``expand``, ``pushforward_diagram``, ``step`` and
-``derive_and_fix_a/b``) checks its root with ``_entry_check``.  A derived
-diagram is checked only inside the two repair loops, ``_algorithm1`` for
-D^a and ``_derive_b`` for D^b.  Each is one loop that reads one
-``check_conditions`` report per diagram it reaches: the report's first
-failures (``AdmissibilityReport.failures``) pick the repair, the (A2)
-bracket included, and the last report is the verdict.  ``_algorithm1``
-repairs the two copies of an (A1) split by calling itself on each.  The
-two loops stay apart because they repair (A2) at different quadrics: D^a at
-kappa, D^b at the last quadric of corank p - 1, p the first failing bracket.
-A loop emits a child only after its report passes, so the recursion never
-checks a child again, and the (A3) probe that picks ``Both`` hands its
-report on to ``_algorithm1``.  Every diagram a step starts from is therefore admissible, and these
-constructions rely on it: ``_bump`` builds D^a directly ((A1) keeps each
-raised corank below every d_j); ``_derive_b`` moves its bracket onto
-r_kappa + 1 directly ((A2) keeps that position free), and always finds a
-brace to slide, because no D^b iterate has a bracket at r_q + 1; and
-``_algorithm1``'s (A2) repair always finds quadric kappa, because a copy
-split off at quadric kappa never fails (A2).
+``derive_and_fix_a/b``) checks its root with ``_entry_check``, which builds
+a ``check_conditions`` report; the witness scan, whose candidates are
+admissible and fit their ambient by construction, expands them through
+``_expand_admissible``, which skips it.  A derived diagram is checked only
+inside the two repair loops, ``_algorithm1`` for D^a and ``_derive_b`` for
+D^b.  Each is one loop that reads ``_fold``'s state once per diagram it
+reaches (``diagrams._repair_state``, no report): its first failures pick
+the repair, the (A2) bracket included, and the last state is the verdict.
+A report is built there only for an error message or a traced discard
+note.  ``_algorithm1`` repairs the two copies of an (A1) split by calling
+itself on each; untraced, a split that returns one diagram twice is
+repaired once and its pairs count twice.  The two loops stay apart because
+they repair (A2) at different quadrics: D^a at kappa, D^b at the last
+quadric of corank p - 1, p the first failing bracket.  A loop emits a child
+only after its state passes, so the recursion never checks a child again,
+and the (A3) probe that picks ``Both`` hands its state on to
+``_algorithm1``.  Every diagram a step starts from is therefore
+admissible, and these constructions rely on it: ``_bump`` builds D^a
+without validation ((A1) keeps each raised corank below every d_j);
+``_derive_b`` moves its bracket onto r_kappa + 1 without validation ((A2)
+keeps that position free, and the top bracket never rises), and always
+finds a brace to slide, because no D^b iterate has a bracket at r_q + 1;
+and ``_algorithm1``'s (A2) repair always finds quadric kappa, because a
+copy split off at quadric kappa never fails (A2).  The repairs themselves
+(``_fix_a2``, ``_split_a1``) build through the validating constructor,
+which detects a collision.
 
 Four monotonicity facts hold along every derivation, read off the rules:
 
@@ -76,6 +84,8 @@ from .diagrams import (
     Bracket,
     Quadric,
     QuadricDiagram,
+    _repair_state,
+    _witness,
     check_conditions,
     print_diagram,
 )
@@ -196,9 +206,10 @@ def _grow(node, diagram, rule: str, note: str | None = None):
 
 
 def _bump(D: QuadricDiagram, kap: int) -> QuadricDiagram:
-    """The corank bump D^a before any repair.  (A1) gives r_q <= d_q - 3, so
-    every raised corank stays below every d_j."""
-    return QuadricDiagram(D.m, D.brackets, _raise_corank(D.quadrics, kap))
+    """The corank bump D^a of an admissible D before any repair, built
+    without validation: (A1) gives r_q <= d_q - 3, so every raised corank
+    stays below every d_j, and a raised corank only eases flag existence."""
+    return QuadricDiagram._unchecked(D.m, D.brackets, _raise_corank(D.quadrics, kap))
 
 
 def _fix_a2(cur: QuadricDiagram, kap: int):
@@ -225,42 +236,44 @@ def _split_a1(cur: QuadricDiagram, push: bool):
     return base, second
 
 
-def _algorithm1(cur: QuadricDiagram, kap: int, push: bool, node, rep=None):
+def _algorithm1(cur: QuadricDiagram, kap: int, push: bool, node, state=None):
     """The repair loop of D^a, from ``cur`` recorded as ``node`` and its
-    report ``rep`` when the caller has one; returns the surviving (diagram,
-    trace node) pairs.  Each diagram the loop reaches is checked once, and
-    the two copies of an (A1) split are repaired by a call each."""
+    ``_repair_state`` ``state`` when the caller has it; returns the
+    surviving (diagram, trace node) pairs.  Each diagram the loop reaches is
+    checked once.  The two copies of an (A1) split are repaired by a call
+    each; untraced, one diagram returned twice is repaired once, and its
+    pairs are returned twice."""
     for _ in range(4 * cur.m + 8):
-        if rep is None:
-            rep = check_conditions(cur)
-        failures = rep.failures
+        failures, live = _repair_state(cur) if state is None else state
         if "A3" in failures:
-            _grow(node, None, "Discard", f"(A3) fails: {rep.witness('A3')}")
+            _grow(node, None, "Discard", f"(A3) fails: {_witness(failures['A3'])}")
             return []
         if "A2" in failures:
             fixed = _fix_a2(cur, kap)
             if fixed is None:
                 _grow(node, None, "Discard", "structural collision while repairing (A2)")
                 return []
-            cur, node, rep = fixed, _grow(node, fixed, "FixA2"), None
+            cur, node, state = fixed, _grow(node, fixed, "FixA2"), None
             continue
         if "A1" in failures:
             pair = _split_a1(cur, push)
             if pair is None:
                 _grow(node, None, "Discard", "structural collision while splitting (A1)")
                 return []
+            if node.children is None and pair[0] is pair[1]:
+                return _algorithm1(pair[0], kap, push, node) * 2
             out = []
             for copy in pair:
                 out += _algorithm1(copy, kap, push, _grow(node, copy, "FixA1Split"))
             return out
-        if not rep.ok:
+        if not live:
             # the corank rules repair (A1)-(A3) only; a corank bump can
             # break condition (3) when four or more quadrics carry a
             # non-monotone d+r profile, which lies outside the family the
             # rewriting rules preserve
             raise EngineInvariantError(
-                f"{print_diagram(cur)} fails {rep.failed()} after repairs; "
-                "the derivation left the admissible family"
+                f"{print_diagram(cur)} fails {check_conditions(cur).failed()} after "
+                "repairs; the derivation left the admissible family"
             )
         return [(cur, node)]
     raise EngineInvariantError(f"(A2) repair loop stuck on {print_diagram(cur)}")
@@ -277,19 +290,22 @@ def derive_and_fix_a(D: QuadricDiagram, pushforward: bool = False):
 def _derive_b(Da: QuadricDiagram, kap: int, node):
     """D^b (a bracket moved in D^a), recorded under ``node``, and its repair
     loop; returns [(diagram, trace node)] or [].  Each iterate is checked
-    once, and its report gives both the (A2) failure to repair next and,
-    for the last one, the verdict."""
+    once, and its ``_repair_state`` gives both the (A2) failure to repair
+    next and, for the last one, the verdict."""
     p = Da.quadrics[kap - 1].r
     movable = [b for b in Da.brackets if b.dim > p]
     if not movable:
         return []
     keep = [b for b in Da.brackets if b is not movable[0]]
-    # (A2) keeps p off the brackets, and the move never raises the top one
-    cur = QuadricDiagram(Da.m, sorted(keep + [Bracket(p, False)]), Da.quadrics)
+    # built without validation: (A2) on the admissible diagram Da was bumped
+    # from keeps p = its r_kappa + 1 off the brackets, and the move never
+    # raises the top bracket
+    brackets = tuple(sorted(keep + [Bracket(p, False)]))
+    cur = QuadricDiagram._unchecked(Da.m, brackets, Da.quadrics)
     node = _grow(node, cur, "Db")
     for _ in range(4 * cur.m + 8):
-        rep = check_conditions(cur)
-        a2 = rep.failures.get("A2")
+        failures, live = _repair_state(cur)
+        a2 = failures.get("A2")
         if a2 is None:
             break
         # the first (A2) failure's bracket p = r_j + 1 is the least bracket
@@ -303,8 +319,10 @@ def _derive_b(Da: QuadricDiagram, kap: int, node):
         cur, node = built, _grow(node, built, "FixB")
     else:
         raise EngineInvariantError(f"(A2) repair loop stuck on {print_diagram(cur)}")
-    if not rep.ok:
-        _grow(node, None, "Discard", f"inadmissible after repairs: {rep.failed()}")
+    if not live:
+        if node.children is not None:
+            failed = check_conditions(cur).failed()
+            _grow(node, None, "Discard", f"inadmissible after repairs: {failed}")
         return []
     return [(cur, node)]
 
@@ -345,12 +363,12 @@ def _step(node, push: bool):
     if n_s_le_r or gap_test:
         chosen = "DaOnly"
         pairs = _algorithm1(Da, kap, push, _grow(node, Da, "Da"))
-    elif "A3" in (rep := check_conditions(Da)).failures:
+    elif "A3" in (state := _repair_state(Da))[0]:
         chosen = "DbOnly"
         pairs = _derive_b(Da, kap, node)
     else:
         chosen = "Both"
-        pairs = _algorithm1(Da, kap, push, _grow(node, Da, "Da"), rep) + _derive_b(Da, kap, node)
+        pairs = _algorithm1(Da, kap, push, _grow(node, Da, "Da"), state) + _derive_b(Da, kap, node)
     if node.children is not None:
         node.note = f"κ={kap} x={x_kap} y={y_kap} → {chosen}"
         if ambiguous:
@@ -419,6 +437,12 @@ def is_admissible(D: QuadricDiagram) -> bool:
 
 def _expand_root(D: QuadricDiagram, push: bool, trace: bool, what: str):
     _entry_check(D)
+    return _expand_admissible(D, push, trace, what)
+
+
+def _expand_admissible(D: QuadricDiagram, push: bool, trace: bool, what: str):
+    """``_expand_root`` without the entry check, for a diagram known to be
+    admissible and to fit its ambient, as every enumerated diagram is."""
     try:
         if not trace:
             return _expand_cached(D, push)

@@ -22,11 +22,15 @@ rule on the chain of quadrics placed so far and the next one;
 each corank it tries, and skips a corank under which the chain can no longer
 pass with its whole subtree, so every diagram it yields is admissible by
 construction and is not checked again there; the tests assert
-``check_conditions`` on every one.  Asked for one dimension, it also skips
+``check_conditions`` on every one.  The walk also enforces every rule the
+constructor checks, so the enumerator builds its diagrams without validation
+(``QuadricDiagram._unchecked``).  Asked for one dimension, it also skips
 every chain whose diagram cannot have it, so the diagrams of one dimension
 cost less than a walk of the space.
 Besides the enumerator, admissibility is decided only by the degeneration
-engine: at entry, for a root, and in its repair loops, for a derived diagram.
+engine: at entry, for a root (a ``check_conditions`` report), and in its
+repair loops, for a derived diagram (``_repair_state``, which reads the
+same fold and builds no report).
 
 Diagrams are immutable; every function here is pure.
 """
@@ -81,16 +85,18 @@ class QuadricDiagram(Frozen):
     ``k``) and its hash are computed once, at construction; equality,
     hashing and ``repr`` see only (m, brackets, quadrics): ``Bracket``s with
     dims strictly increasing, ``Quadric``s with d strictly decreasing and r
-    nondecreasing.  Equal diagrams share their part tuples.
+    nondecreasing.  Equal diagrams share their part tuples.  The
+    constructor validates; ``_unchecked`` builds the same diagram without
+    validation, for the three builders that guarantee every rule.
     """
 
     __slots__ = ("m", "brackets", "quadrics", "bracket_dims", "ds", "rs", "sums", "s", "q", "k")
     _fields = ("m", "brackets", "quadrics")
 
     def __init__(self, m, brackets, quadrics):
-        # Every diagram the enumerator and the engine build comes through
-        # here, so the checks are plain loops, in a fixed order; the parts'
-        # types are checked first.
+        # The parser, ``og_to_diagram`` and the engine's repairs build
+        # through here, so the checks are plain loops, in a fixed order; the
+        # parts' types are checked first.
         try:
             brackets = _parts(brackets, Bracket)
             quadrics = _parts(quadrics, Quadric)
@@ -154,17 +160,35 @@ class QuadricDiagram(Frozen):
                     raise InvalidDiagram(
                         f"bracket {top} cannot lie isotropically inside Q_{d}^{r}"
                     )
+        self._set(m, brackets, quadrics)
+
+    @classmethod
+    def _unchecked(cls, m: int, brackets: tuple, quadrics: tuple) -> QuadricDiagram:
+        """The diagram (m, brackets, quadrics), built without validation:
+        ``brackets`` a tuple of ``Bracket``s and ``quadrics`` one of
+        ``Quadric``s that the caller guarantees pass every rule ``__init__``
+        checks.  Only ``diagrams_with``, ``degeneration._bump`` and the
+        bracket move of ``degeneration._derive_b`` call it."""
+        self = object.__new__(cls)
+        self._set(m, brackets, quadrics)
+        return self
+
+    def _set(self, m, brackets, quadrics):
+        """Store the diagram, its parts taken from the tables of parts."""
         shape = _BRACKET_SHAPES.get(brackets)
         if shape is None:
+            dims = tuple([b.dim for b in brackets])
             dims = _INT_TUPLES.setdefault(dims, dims)
             shape = _BRACKET_SHAPES.setdefault(brackets, (brackets, dims))
         brackets, dims = shape
         shape = _QUADRIC_SHAPES.get(quadrics)
         if shape is None:
             quadrics = tuple([_QUADRICS.setdefault(qq, qq) for qq in quadrics])
+            ds, rs = tuple([qq.d for qq in quadrics]), tuple([qq.r for qq in quadrics])
             ints = [_INT_TUPLES.setdefault(t, t) for t in (ds, rs, tuple(map(add, ds, rs)))]
             shape = _QUADRIC_SHAPES.setdefault(quadrics, (quadrics, *ints))
         quadrics, ds, rs, sums = shape
+        s, q = len(brackets), len(quadrics)
         key = (m, brackets, quadrics)
         self._store(key, hash(key), m, brackets, quadrics, dims, ds, rs, sums, s, q, s + q)
 
@@ -192,19 +216,16 @@ def digits(D: QuadricDiagram) -> list:
 
 class AdmissibilityReport(Fields):
     """Per-condition verdicts, label -> (passed, witness); ``witness``
-    describes the first violation.  ``failures`` keeps the first failure of
-    each failing label among (A1)-(A3) as ``_place`` returns it, (label,
-    format, *args), so a repair can read its arguments.  ``ok`` is decided
-    once, at construction."""
+    describes the first violation.  ``ok`` is decided once, at
+    construction."""
 
-    __slots__ = ("conditions", "x", "warnings", "failures", "ok")
+    __slots__ = ("conditions", "x", "warnings", "ok")
     _fields = ("conditions", "x", "warnings")
 
-    def __init__(self, conditions=None, x=(), warnings=(), failures=None):
+    def __init__(self, conditions=None, x=(), warnings=()):
         self.conditions = {} if conditions is None else conditions
         self.x = x
         self.warnings = warnings
-        self.failures = {} if failures is None else failures
         self.ok = True
         for passed, _ in self.conditions.values():
             if not passed:
@@ -335,6 +356,19 @@ def _witness(failure: tuple) -> str:
     return failure[1].format(*failure[2:])
 
 
+def _first_failures(fails: tuple) -> dict:
+    """label -> the first failure of each failing label among (A1)-(A3)."""
+    return {failure[0]: failure for failure in reversed(fails)}
+
+
+def _repair_state(D: QuadricDiagram) -> tuple:
+    """(``_first_failures``, whether D passes every condition): what the
+    engine's repair loops read of ``_fold``.  It decides what
+    ``check_conditions`` decides, and builds no report."""
+    _, _, _, fails, live = _fold(D, x_profile(D))
+    return _first_failures(fails), live
+
+
 def check_conditions(D: QuadricDiagram) -> AdmissibilityReport:
     """Evaluate conditions (1)-(3) and (A1)-(A3); verdicts, not exceptions.
 
@@ -356,11 +390,10 @@ def check_conditions(D: QuadricDiagram) -> AdmissibilityReport:
         "A2": (True, None),
         "A3": (True, None),
     }
-    failures = {failure[0]: failure for failure in reversed(fails)}  # the first wins
-    for label, failure in failures.items():
+    for label, failure in _first_failures(fails).items():
         conditions[label] = (False, _witness(failure))
     warnings = ("COND3-FIRST-CLAUSE",) if first and fail3 is not None else ()
-    return AdmissibilityReport(conditions, xs, warnings, failures)
+    return AdmissibilityReport(conditions, xs, warnings)
 
 
 # --- text forms ------------------------------------------------------------
@@ -580,19 +613,26 @@ def bracket_sets(k: int, m: int):
 
 
 def diagrams_with(k: int, m: int, brackets: tuple, dim: int | None = None):
-    """The admissible k-part diagrams in ambient m on the tuple ``brackets``,
-    in canonical order; with ``dim``, only those of ``diagram_dimension`` dim.
+    """The admissible k-part diagrams in ambient m on ``brackets``, one of
+    ``bracket_sets(k, m)`` (k and m ints >= 1), in canonical order; with
+    ``dim``, only those of ``diagram_dimension`` dim.
 
     The dimension is not computed per diagram.  Its closed form
     (``_dimension_offset``) fixes sum_j (d_j + x_j) = dim - offset, and
     ``_quadric_profiles`` builds only the chains that meet that total, so a
     dimension with no diagrams yields nothing.
+
+    The diagrams are built without validation (``_unchecked``): the bracket
+    set is valid in ambient m, and the chain walk keeps each quadric in
+    1..m, d strictly decreasing, r nondecreasing and in 0..d, and above the
+    top bracket with room for it (flag existence).
     """
     dims = tuple(b.dim for b in brackets)
     q = k - len(dims)
     total = None if dim is None else dim - _dimension_offset(dims, q)
+    build = QuadricDiagram._unchecked
     for quadrics in _quadric_profiles(q, m, dims, k, total):
-        yield QuadricDiagram(m, brackets, quadrics)
+        yield build(m, brackets, quadrics)
 
 
 def enumerate_diagrams(k: int, m: int, dim: int | None = None):
@@ -605,10 +645,12 @@ def enumerate_diagrams(k: int, m: int, dim: int | None = None):
     flag existence, (3) or (A1)-(A3), so every diagram yielded passes (1)-(3)
     and (A1)-(A3) by construction and none is checked here; the tests assert
     ``check_conditions`` on every one.  Raises ``OutOfBounds`` unless k and
-    m are ints >= 1.
+    m are ints >= 1 and dim is None or an int.
     """
     if type(k) is not int or type(m) is not int:
         raise OutOfBounds(f"k and m must be ints, got k={k!r}, m={m!r}")
+    if dim is not None and type(dim) is not int:
+        raise OutOfBounds(f"dim must be None or an int, got {dim!r}")
     if k < 1 or m < 1:
         raise OutOfBounds(f"need k >= 1 and m >= 1, got k={k}, m={m}")
     for brackets in bracket_sets(k, m):

@@ -26,8 +26,11 @@ bracket sets in ``bracket_sets`` order.  The search budget counts the
 diagrams of the class's dimension the scan reads.  A candidate whose
 derivation cannot reach the class (``can_reach``: brackets only move left,
 a quadric's d never rises, quadrics leave from the innermost end) is
-skipped unexpanded; the others take their class from ``expand``, whose
-cache is the only store of classes.  A candidate's engine error aborts the
+skipped unexpanded; the others take their class from ``expand``'s cache,
+the only store of classes, without ``expand``'s entry check
+(``_expand_admissible``): an enumerated diagram is admissible and fits its
+ambient by construction, so the scan validates and checks each candidate
+once, when the enumerator builds it.  A candidate's engine error aborts the
 scan; no error is caught.
 """
 
@@ -38,7 +41,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .classsum import ClassSum
-from .degeneration import _expand_cached, can_reach, expand
+from .degeneration import _expand_admissible, _expand_cached, can_reach
 from .diagrams import _PART_TABLES, QuadricDiagram, bracket_sets, diagrams_with, print_diagram
 from .errors import (
     EngineInvariantError,
@@ -390,7 +393,9 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
         if not (_omits_assertion(D, cx, kind, idx) and can_reach(D, cx)):
             continue
         try:
-            cls = expand(D)
+            # an enumerated diagram is admissible and fits its ambient by
+            # construction, so it skips ``expand``'s entry check
+            cls = _expand_admissible(D, False, False, "derivation")
         except EngineInvariantError as exc:
             raise EngineInvariantError(
                 f"{exc} (while expanding scan candidate {print_diagram(D)})"

@@ -351,22 +351,98 @@ def test_can_reach_rules_out_unreachable_classes():
     assert not deg.can_reach(D(6, [1], [(5, 0)]), validate_og(2, 6, [2, 3], []))
 
 
-def test_expansion_checks_each_diagram_once(monkeypatch):
-    checked = Counter()
+def _counting_checks(monkeypatch):
+    """Count, per diagram and per kind, the engine's admissibility checks:
+    ``check_conditions`` reports and the repair loops' ``_repair_state``;
+    expansions go to a private cache, so that every step runs."""
+    checked, kinds = Counter(), Counter()
 
-    def counting(D):
-        checked[D] += 1
-        return check_conditions(D)
+    def counting(check):
+        def wrapped(D):
+            checked[D] += 1
+            kinds[check.__name__] += 1
+            return check(D)
+        return wrapped
 
-    monkeypatch.setattr(deg, "check_conditions", counting)
-    # a private cache, so that every step of the derivation runs here
+    for name in ("check_conditions", "_repair_state"):
+        monkeypatch.setattr(deg, name, counting(getattr(deg, name)))
     monkeypatch.setattr(
         deg, "_expand_cached", lru_cache(maxsize=None)(deg._expand_cached.__wrapped__)
     )
+    return checked, kinds
+
+
+def test_expansion_checks_each_diagram_once(monkeypatch):
+    checked, kinds = _counting_checks(monkeypatch)
     expand(CONE_POINT)
     twice = sorted(print_diagram(D) for D, calls in checked.items() if calls > 1)
     assert checked[CONE_POINT] == 1
     assert twice == []
+    # the root's entry check is the one report; the loops read the rest
+    assert kinds["check_conditions"] == 1 and kinds["_repair_state"] > 1
+
+
+def test_a1_split_into_one_diagram_is_repaired_once(monkeypatch):
+    # the innermost quadric of 200}0}000, reached from 000}0}000, splits off
+    # an unprimed bracket at 3 != 7/2: both copies are one diagram object
+    checked, _ = _counting_checks(monkeypatch)
+    split, same = deg._split_a1, []
+
+    def recording(cur, push):
+        pair = split(cur, push)
+        same.append(pair is not None and pair[0] is pair[1])
+        return pair
+
+    monkeypatch.setattr(deg, "_split_a1", recording)
+    root = parse_diagram("000}0}000")
+    cls = expand(root)
+    assert any(same)
+    assert [print_diagram(D) for D, calls in checked.items() if calls > 1] == []
+    # untraced, the copy's pairs count twice; traced, both subtrees are kept
+    traced, tree = expand(root, trace=True)
+    assert traced == cls
+    nodes, twins = [tree], 0
+    while nodes:
+        node = nodes.pop()
+        splits = [c for c in node.children if c.rule == "FixA1Split"]
+        twins += len(splits) == 2 and splits[0].diagram is splits[1].diagram
+        assert splits == [] or splits[0].to_json_dict() == splits[1].to_json_dict()
+        nodes += node.children
+    assert twins
+
+
+def test_unchecked_diagrams_equal_validated_ones(monkeypatch):
+    # every diagram the enumerator, the corank bump and the D^b bracket move
+    # build without validation is one the constructor accepts, with the same
+    # shared parts
+    built = []
+    unchecked = QuadricDiagram._unchecked.__func__
+
+    def recording(cls, m, brackets, quadrics):
+        built.append(unchecked(cls, m, brackets, quadrics))
+        return built[-1]
+
+    monkeypatch.setattr(QuadricDiagram, "_unchecked", classmethod(recording))
+    monkeypatch.setattr(
+        deg, "_expand_cached", lru_cache(maxsize=None)(deg._expand_cached.__wrapped__)
+    )
+    diagrams = 0
+    for k in range(1, 5):
+        for m in range(1, 12):
+            for root in enumerate_diagrams(k, m):
+                diagrams += 1
+                for run in (expand, pushforward_diagram):
+                    try:
+                        run(root)
+                    except EngineInvariantError:
+                        pass
+    assert diagrams == 3784 and len(built) > 2 * diagrams
+    parts = ("m", "brackets", "quadrics", "bracket_dims", "ds", "rs", "sums", "s", "q", "k")
+    for D in set(built):
+        valid = QuadricDiagram(D.m, D.brackets, D.quadrics)
+        assert D == valid and hash(D) == hash(valid), print_diagram(valid)
+        for name in parts:
+            assert getattr(D, name) is getattr(valid, name), (print_diagram(valid), name)
 
 
 def test_endless_derivation_raises_depth_exceeded(monkeypatch):

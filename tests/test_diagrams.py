@@ -346,3 +346,9 @@ def test_one_dimension_of_the_readme_example():
 def test_enumeration_of_an_empty_range_raises(k, m):
     with pytest.raises(OutOfBounds):
         list(enumerate_diagrams(k, m))
+
+
+@pytest.mark.parametrize("dim", ["a", 2.0, True])
+def test_enumeration_of_a_dimension_not_an_int_raises(dim):
+    with pytest.raises(OutOfBounds):
+        list(enumerate_diagrams(2, 6, dim))

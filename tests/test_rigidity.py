@@ -29,7 +29,7 @@ from srk import (
     x_counts,
     z_counts,
 )
-from srk import degeneration, rigidity
+from srk import degeneration, diagrams, rigidity
 from srk.degeneration import _expand_cached, can_reach
 from srk.diagrams import bracket_sets, diagrams_with
 from srk.errors import (
@@ -436,23 +436,45 @@ def test_witness_caches_shared_by_four_threads(fresh_caches):
 
 
 def _recording(monkeypatch):
-    """Record every diagram the scan passes to ``expand``, and every diagram
-    whose class is derived rather than read from ``expand``'s cache."""
+    """Record every diagram the scan expands, and every diagram whose class
+    is derived rather than read from ``expand``'s cache."""
     expanded, derived = [], []
-    real_expand, real_node = rigidity.expand, degeneration._expand_node
+    real_expand, real_node = rigidity._expand_admissible, degeneration._expand_node
 
-    def counting_expand(D):
+    def counting_expand(D, push, trace, what):
         expanded.append(D)
-        return real_expand(D)
+        return real_expand(D, push, trace, what)
 
     def counting_node(node, push):
         if isinstance(node, degeneration._Sink):
             derived.append(node.diagram)
         return real_node(node, push)
 
-    monkeypatch.setattr(rigidity, "expand", counting_expand)
+    monkeypatch.setattr(rigidity, "_expand_admissible", counting_expand)
     monkeypatch.setattr(degeneration, "_expand_node", counting_node)
     return expanded, derived
+
+
+def test_cold_witness_query_builds_no_admissibility_report(fresh_caches, monkeypatch):
+    # the scan's candidates are admissible by construction and the repair
+    # loops read ``_fold``'s state; only a public entry's check builds a report
+    reports = []
+    real = diagrams.AdmissibilityReport
+
+    def counting(*args):
+        reports.append(real(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(diagrams, "AdmissibilityReport", counting)
+    assert find_nonrigid_witness(validate_og(2, 9, [2], [3]), ("b", 1)) is not None
+    assert _expand_cached.cache_info().misses > 1
+    assert reports == []
+    root = diagrams.parse_diagram("000}0}000")
+    for run in (expand, degeneration.pushforward_diagram):
+        misses = _expand_cached.cache_info().misses
+        run(root)
+        assert _expand_cached.cache_info().misses > misses + 1
+        assert len(reports) == 1 and reports.pop().ok
 
 
 def test_repeated_witness_query_expands_nothing(fresh_caches):

@@ -1,6 +1,7 @@
 """``tools/witness_pass.py``: one cold witness pass over a space's not-rigid
 positions, reported as one JSON line."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -27,6 +28,7 @@ def test_witness_pass_counts_match_find_nonrigid_witness(capsys):
     assert report["cache_info"] == srk.cache_info()
     want = {"witnesses": 0, "none": 0, "raised": 0}
     queries = 0
+    outcomes = []
     for x in srk.enumerate_og(2, 7):
         rep = srk.classify_og(x)
         for kind, verdicts in (("a", rep.a_verdicts), ("b", rep.b_verdicts)):
@@ -36,11 +38,15 @@ def test_witness_pass_counts_match_find_nonrigid_witness(capsys):
                 queries += 1
                 try:
                     found = srk.find_nonrigid_witness(x, (kind, i))
-                except SrkError:
+                except SrkError as exc:
                     want["raised"] += 1
+                    outcomes.append(f"{type(exc).__name__}: {exc}")
                     continue
                 want["none" if found is None else "witnesses"] += 1
+                outcomes.append("none" if found is None else srk.print_diagram(found))
     assert queries and report["queries"] == queries
     assert {key: report[key] for key in want} == want
+    lines = "".join(line + "\n" for line in outcomes).encode()
+    assert report["outcomes_sha256"] == hashlib.sha256(lines).hexdigest()
     assert (report["k"], report["n"]) == (2, 7)
     assert report["seconds"] >= 0 and report["peak_rss_mb"] > 0

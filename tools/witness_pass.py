@@ -6,14 +6,17 @@ Classifies every index of OG(k,n), then calls ``find_nonrigid_witness`` once
 on each position ``classify_og`` calls not rigid, in enumeration order (a
 positions before b positions).  Prints one JSON line: the query count, how
 many found a witness, found none or raised an ``SrkError``, the seconds the
-queries took, the process's peak resident set (VmHWM, in MiB) and
-``srk.cache_info()`` after the pass.  Run in a fresh process, the pass starts
-from empty caches.  Standard library only.
+queries took, the process's peak resident set (VmHWM, in MiB),
+``srk.cache_info()`` after the pass and ``outcomes_sha256``, a digest of
+every query's outcome in order (``outcome``), so that two trees' answers
+compare by one line each.  Run in a fresh process, the pass starts from
+empty caches.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -52,18 +55,29 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def outcome(found) -> str:
+    """One query's outcome: the witness diagram's text, ``none``, or the
+    raised error's type and message."""
+    if isinstance(found, SrkError):
+        return f"{type(found).__name__}: {found}"
+    return "none" if found is None else srk.print_diagram(found)
+
+
 def witness_pass(k: int, n: int) -> dict:
     """Run the pass and return what ``main`` prints."""
     queries = not_rigid_positions(k, n)
     counts = {"witnesses": 0, "none": 0, "raised": 0}
+    digest = hashlib.sha256()
     t0 = time.perf_counter()
     for x, position in queries:
         try:
             found = srk.find_nonrigid_witness(x, position)
-        except SrkError:
+        except SrkError as exc:
+            found = exc
             counts["raised"] += 1
-            continue
-        counts["none" if found is None else "witnesses"] += 1
+        else:
+            counts["none" if found is None else "witnesses"] += 1
+        digest.update(outcome(found).encode() + b"\n")
     seconds = time.perf_counter() - t0
     return {
         "k": k,
@@ -73,6 +87,7 @@ def witness_pass(k: int, n: int) -> dict:
         "seconds": round(seconds, 3),
         "peak_rss_mb": round(peak_rss_mb(), 1),
         "cache_info": srk.cache_info(),
+        "outcomes_sha256": digest.hexdigest(),
     }
 
 
