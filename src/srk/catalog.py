@@ -1,11 +1,7 @@
 """Index enumeration and the JSONL classification catalog.
 
 ``enumerate_og`` walks every Schubert index of OG(k,n) exactly once in
-canonical order.  When n is even, an index whose largest b-part equals
-n/2 - 1 names the same class as a primed-bracket index (the orthogonal
-complement of F_{n/2-1} is a single chosen maximal isotropic space), so only
-the bracket form is emitted; the counts then match the Weyl-group quotient
-orders.
+canonical order; the counts match the Weyl-group quotient orders.
 """
 
 from __future__ import annotations
@@ -14,6 +10,7 @@ import json
 from itertools import combinations
 from typing import NamedTuple
 
+from .diagrams import bracket_sets
 from .errors import CatalogIOError, NoIsotropicRoom, OutOfBounds, SchemaError, ValidationError
 from .grassmannian import (
     GrIndex,
@@ -40,10 +37,8 @@ def enumerate_gr(k: int, n: int):
 def enumerate_og(k: int, n: int):
     """Every Schubert index of OG(k,n) exactly once, canonical order.
 
-    s runs over 0..k, primed variants are included, indices with
-    a_i = b_j + 1 (unions of two Schubert varieties) are excluded, and
-    even-n synonyms with b_{k-s} = n/2 - 1 are not generated: their
-    primed-bracket form is.
+    The a-parts and primes run over ``bracket_sets(k, n)``, and indices
+    with a_i = b_j + 1 (unions of two Schubert varieties) are excluded.
     """
     if type(k) is not int or type(n) is not int:
         raise OutOfBounds(f"k and n must be ints, got k={k!r}, n={n!r}")
@@ -51,19 +46,15 @@ def enumerate_og(k: int, n: int):
         raise OutOfBounds(f"need k >= 1, got {k}")
     if n < 2 * k:
         raise NoIsotropicRoom(f"OG({k},{n}): need n >= 2k")
-    half = n // 2
-    # b_j <= n/2 - 1, and for even n b_j = n/2 - 1 is a primed bracket
-    b_top = (n - 3) // 2
-    for s in range(0, k + 1):
-        for a in combinations(range(1, half + 1), s):
-            splits = {av - 1 for av in a}  # b_j = a_i - 1 splits the locus
-            primes = [False]
-            if s and 2 * a[-1] == n:
-                primes.append(True)
-            for prime in primes:
-                for b in combinations(range(0, b_top + 1), k - s):
-                    if splits.isdisjoint(b):
-                        yield OgIndex(k, n, a, b, prime)
+    # b_j <= (n - 3)/2: for even n, b_j = n/2 - 1 builds a primed index again
+    b_range = range(0, (n - 1) // 2)
+    for brackets in bracket_sets(k, n):
+        a = tuple([v for v, _ in brackets])
+        prime = bool(brackets) and brackets[-1].prime
+        splits = {av - 1 for av in a}  # b_j = a_i - 1 splits the locus
+        for b in combinations(b_range, k - len(a)):
+            if splits.isdisjoint(b):
+                yield OgIndex(k, n, a, b, prime)
 
 
 class CatalogRecord(NamedTuple):

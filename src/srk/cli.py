@@ -90,7 +90,7 @@ def _og_index(args):
 
 
 def _gr_index(args):
-    if args.b or args.prime:
+    if _int_list(args.b) or args.prime:
         raise ValidationError("--b/--prime only apply to --space og")
     return validate_gr(args.k, args.n, _int_list(args.a))
 

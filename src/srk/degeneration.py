@@ -311,8 +311,9 @@ def _derive_b(Da: QuadricDiagram, kap: int, node):
         # the first (A2) failure's bracket p = r_j + 1 is the least bracket
         # with p - 1 among the coranks; no bracket sits at r_q + 1, so
         # p <= r_q and the digit i at p is at least 2; p = r_j + 1 and
-        # r_{i-1} < p <= r_i force r_{i-1} = p - 1
-        built = _fix_a2(cur, cur.digit_at(a2[2]) - 1)
+        # r_{i-1} < p <= r_i force r_{i-1} = p - 1, so quadric i - 1 is
+        # the last of corank p - 1
+        built = _fix_a2(cur, bisect_right(cur.rs, a2[2] - 1))
         if built is None:
             _grow(node, None, "Discard", "two braces would collide")
             return []
@@ -486,8 +487,7 @@ def can_reach(D: QuadricDiagram, x: OgIndex) -> bool:
     monotonicity facts tell; False only when no derivation from D can end
     at x's Schubert diagram.
 
-    x is taken in canonical form (``canonical_index``), the form of every
-    term.  A derivation ending at x keeps D's first q' = len(x.b) quadrics,
+    A derivation ending at x keeps D's first q' = len(x.b) quadrics,
     the j-th with d_j shrunk to n - b_j, so q' <= q and b_j >= n - d_j.
     Each of the others left as a bracket at or left of d_j - 1, and every
     bracket moved left or stayed, so the sorted brackets of D and those

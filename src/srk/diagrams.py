@@ -192,13 +192,6 @@ class QuadricDiagram(Frozen):
         key = (m, brackets, quadrics)
         self._store(key, hash(key), m, brackets, quadrics, dims, ds, rs, sums, s, q, s + q)
 
-    def digit_at(self, pos: int) -> int:
-        """Digit at 1-based position pos: the j with r_{j-1} < pos <= r_j."""
-        for j, q in enumerate(self.quadrics, start=1):
-            if pos <= q.r:
-                return j
-        return 0
-
     def __str__(self):
         return print_diagram(self)
 
@@ -234,9 +227,6 @@ class AdmissibilityReport(Fields):
 
     def failed(self) -> list:
         return [label for label, (p, _) in self.conditions.items() if not p]
-
-    def witness(self, label: str):
-        return self.conditions[label][1]
 
 
 def x_profile(D: QuadricDiagram) -> tuple:

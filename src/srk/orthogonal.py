@@ -7,6 +7,11 @@ for incidence with orthogonal complements F_{b_j}^perp.  When n is even and
 a_s = n/2, a prime marker picks the second family of maximal isotropic
 subspaces.
 
+When n is even, the largest b-part n/2 - 1 names the same class as the
+primed bracket n/2 (the orthogonal complement of F_{n/2-1} is read as one
+chosen maximal isotropic space).  ``OgIndex`` stores that spelling as its
+primed twin, so every index is in canonical form and no caller rewrites it.
+
 The fundamental class needs s = 0 (every condition vacuous), so s = 0 is
 admitted here even though the classical definition starts at s = 1; the
 Weyl-group enumeration counts only come out right with it.
@@ -38,7 +43,9 @@ class OgIndex(Frozen):
 
     When a_i = b_j + 1 the locus is a union of two Schubert varieties; the
     raised ``SplitsIntoTwo`` carries both replacement indices as a diagnostic.
-    ``s`` and ``sort_key`` are stored at construction.
+    For even n, the boundary spelling b_{k-s} = n/2 - 1 is stored as its
+    primed twin (a + (n/2,), b[:-1], prime=True), so the two spellings
+    build equal indices.  ``s`` and ``sort_key`` are stored at construction.
     """
 
     __slots__ = ("k", "n", "a", "b", "prime", "s", "sort_key")
@@ -84,6 +91,9 @@ class OgIndex(Frozen):
                         (a, b[: j - 1] + (bv + 1,) + b[j:]),
                     )
                     raise SplitsIntoTwo(i, j, split)
+        if n % 2 == 0 and b and 2 * b[-1] == n - 2:
+            # no a_i = n/2 here, as a_i = b_{k-s} + 1 raised SplitsIntoTwo
+            a, b, prime = a + (n // 2,), b[:-1], True
         s = len(a)
         key = (k, n, a, b, prime)
         self._store(key, hash(key), k, n, a, b, prime, s, (s, a, int(prime), b))
@@ -135,41 +145,30 @@ def og_essential(x: OgIndex) -> tuple:
     return ess_a, ess_b
 
 
-def needs_rewrite(x: OgIndex) -> bool:
-    """True when n is even and b_{k-s} = n/2 - 1, i.e. the largest b-condition
-    names a single maximal isotropic space of the second family."""
-    return x.n % 2 == 0 and bool(x.b) and x.b[-1] == x.n // 2 - 1
-
-
 def canonical_index(x: OgIndex) -> OgIndex:
-    """Rewrite the even-n boundary condition b_{k-s} = n/2 - 1 as a primed
-    bracket a_{s+1} = n/2; identity on everything else."""
-    if not needs_rewrite(x):
-        return x
-    # a_i != b_j + 1 already guarantees no existing a_s = n/2
-    return OgIndex(x.k, x.n, x.a + (x.n // 2,), x.b[:-1], prime=True)
+    """x itself: ``OgIndex`` already stores the even-n boundary spelling
+    b_{k-s} = n/2 - 1 as its primed twin.  Kept because it is public API,
+    and perfbench's witness check calls it."""
+    return x
 
 
 def og_to_diagram(x: OgIndex) -> QuadricDiagram:
     """The Schubert diagram: brackets at the a-parts and quadrics
     (n - b_j, b_j) for the b-parts.
 
-    The even-n boundary case b_{k-s} = n/2 - 1 has no admissible quadric form
-    (it would need d - r = 2) and is first rewritten to its primed-bracket
-    synonym.  The diagram of a valid index is then admissible, so it is not
-    checked here:
+    The diagram of a valid index is admissible, so it is not checked here:
 
       (A3)  for each j, the values a_i > b_j, b_j + 1 and b_{j'} + 1
             (j' > j) are distinct points of [b_j + 1, floor(n/2)], given
             a_i != b_{j'} + 1;
-      (A1)  holds once the even-n rewrite has been applied;
+      (A1)  holds as b_{k-s} <= (n - 3)/2: for even n the part n/2 - 1
+            is stored as a primed bracket;
       (A2)  holds by a_i != b_j + 1;
       (3)   holds because b strictly increases.
 
     The tests assert ``check_conditions`` on the diagram of every index of
     k <= 6, n <= 14.
     """
-    x = canonical_index(x)
     brackets = tuple(
         Bracket(v, x.prime and i == x.s) for i, v in enumerate(x.a, start=1)
     )
@@ -178,21 +177,21 @@ def og_to_diagram(x: OgIndex) -> QuadricDiagram:
 
 
 def diagram_to_og(D: QuadricDiagram) -> OgIndex:
-    """Inverse of ``og_to_diagram`` on its image: requires d_j + r_j = m."""
+    """Inverse of ``og_to_diagram`` on its image: requires d_j + r_j = m,
+    and for even m no quadric of corank m/2 - 1."""
     for j, qq in enumerate(D.quadrics, start=1):
         if qq.d + qq.r != D.m:
             raise NotSchubertDiagram(
                 f"quadric {j} has d + r = {qq.d + qq.r} != {D.m}"
             )
-    prime = any(b.prime for b in D.brackets)
-    x = OgIndex(D.k, D.m, D.bracket_dims, D.rs, prime)
-    if needs_rewrite(x):
+    if D.m % 2 == 0 and D.rs and 2 * D.rs[-1] == D.m - 2:
         # not in the image: the boundary condition b = m/2 - 1 is always
         # rendered as a primed bracket, never as a quadric
         raise NotSchubertDiagram(
-            f"quadric with corank {x.b[-1]} = m/2 - 1 must appear as a primed bracket"
+            f"quadric with corank {D.rs[-1]} = m/2 - 1 must appear as a primed bracket"
         )
-    return x
+    prime = any(b.prime for b in D.brackets)
+    return OgIndex(D.k, D.m, D.bracket_dims, D.rs, prime)
 
 
 def og_dimension(x: OgIndex) -> int:
@@ -201,9 +200,8 @@ def og_dimension(x: OgIndex) -> int:
     d_j = n - b_j and x_j = #{i : a_i <= b_j}, read off the index without
     building the diagram.
 
-    The prime marker does not change the dimension, and the even-n boundary
-    form b_{k-s} = n/2 - 1 gives the same value as its primed rewrite.  The
-    fundamental class (s = 0, b = 0..k-1) has dimension k(2n - 3k - 1)/2.
+    The prime marker does not change the dimension.  The fundamental class
+    (s = 0, b = 0..k-1) has dimension k(2n - 3k - 1)/2.
     """
     a, n = x.a, x.n
     return _dimension_offset(a, len(x.b)) + sum([n - bv + bisect_right(a, bv) for bv in x.b])

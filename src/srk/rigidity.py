@@ -50,13 +50,7 @@ from .errors import (
     ValidationError,
 )
 from .grassmannian import NOT_ESSENTIAL, Verdict, check_position
-from .orthogonal import (
-    OgIndex,
-    canonical_index,
-    needs_rewrite,
-    og_dimension,
-    og_essential,
-)
+from .orthogonal import OgIndex, og_dimension, og_essential
 from .values import Fields
 
 DEFAULT_SEARCH_BUDGET = 100_000
@@ -321,13 +315,13 @@ def classify_og(x: OgIndex) -> RigidityReport:
     )
 
 
-def _omits_assertion(D: QuadricDiagram, cx: OgIndex, kind: str, idx: int) -> bool:
+def _omits_assertion(D: QuadricDiagram, x: OgIndex, kind: str, idx: int) -> bool:
     """Whether the diagram lacks the flag element asserted at the position."""
     if kind == "a":
-        target = cx.a[idx - 1]
+        target = x.a[idx - 1]
         return not (D.s >= idx and D.bracket_dims[idx - 1] == target)
-    bj = cx.b[idx - 1]
-    return any(q.d == cx.n - bj and q.r < bj for q in D.quadrics)
+    bj = x.b[idx - 1]
+    return any(q.d == x.n - bj and q.r < bj for q in D.quadrics)
 
 
 @lru_cache(maxsize=None)
@@ -380,17 +374,13 @@ def find_nonrigid_witness(x: OgIndex, position, budget: int | None = None):
         raise ValidationError(f"witness search budget must be an int, got {budget!r}")
     if budget < 0:
         raise ValidationError(f"witness search budget must be nonnegative, got {budget}")
-    cx = canonical_index(x)
-    if needs_rewrite(x) and kind == "b" and idx == len(x.b):
-        # the boundary condition is really the primed bracket of the rewrite
-        kind, idx = "a", cx.s
-    target = ClassSum.single(cx)
-    dim = og_dimension(cx)
+    target = ClassSum.single(x)
+    dim = og_dimension(x)
     chunks = (_candidates(x.k, x.n, dim, b) for b in bracket_sets(x.k, x.n))
     for i, D in enumerate(chain.from_iterable(chunks)):
         if i >= budget:
             raise SearchBudgetExceeded(f"witness search passed {budget} diagrams")
-        if not (_omits_assertion(D, cx, kind, idx) and can_reach(D, cx)):
+        if not (_omits_assertion(D, x, kind, idx) and can_reach(D, x)):
             continue
         try:
             # an enumerated diagram is admissible and fits its ambient by

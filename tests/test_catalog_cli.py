@@ -545,6 +545,28 @@ def test_cli_og_only_options_rejected_for_g():
             assert out.stderr.startswith("error: --b/--prime only apply to --space og")
 
 
+def test_cli_g_takes_a_dash_b_as_the_empty_list():
+    for command in ("classify", "dim"):
+        args = (command, "--space", "g", "--k", "3", "--n", "6", "--a", "1,3,5")
+        out = run_cli(*args, "--b", "-")
+        assert out.returncode == 0 and out.stderr == ""
+        assert out.stdout == run_cli(*args).stdout
+
+
+def test_cli_classifies_the_even_boundary_spelling_as_its_primed_twin():
+    # b = 1 = n/2 - 1 in OG(1,4) names σ_{2'}, which is rigid
+    out = run_cli("classify", "--space", "og", "--k", "1", "--n", "4", "--a", "-", "--b", "1")
+    assert out.returncode == 0
+    assert out.stdout == run_cli(
+        "classify", "--space", "og", "--k", "1", "--n", "4", "--a", "2", "--prime"
+    ).stdout
+    assert out.stdout.splitlines()[:3] == [
+        "σ_{2'} @ OG(1,4)   dim 1",
+        "  a_1 = 2: rigid",
+        "  class rigid: yes (methods agree)",
+    ]
+
+
 def test_cli_enumerate_writes_catalog(tmp_path):
     target = tmp_path / "og27.jsonl"
     out = run_cli(

@@ -56,5 +56,10 @@ def test_diagram_digest_of_og_2_6(capsys):
                 f"{name} {push} step {stepped}",
             ]
     assert report["engine_sha256"] == _sha256(engine)
+    classify = (
+        f"{json.dumps(srk.classify_og(x).to_json_dict(), sort_keys=True)} {srk.og_dimension(x)}"
+        for x in srk.enumerate_og(2, 6)
+    )
+    assert report["classify_sha256"] == _sha256(classify)
     assert (report["k"], report["m"]) == (2, 6)
     assert report["check_conditions_us"] > 0 and report["enumerate_ms"] > 0

@@ -7,9 +7,11 @@ import pytest
 
 from srk import (
     Bracket,
+    OgIndex,
     Quadric,
     QuadricDiagram,
     canonical_index,
+    classify_og,
     diagram_to_og,
     enumerate_og,
     og_dimension,
@@ -81,8 +83,12 @@ def test_essential_examples():
     assert og_essential(validate_og(2, 6, [1], [1])) == ({1}, {1})
     ess_a, _ = og_essential(validate_og(3, 6, [1, 3], [1]))
     assert 2 not in ess_a and ess_a == {1}  # degenerate n = 2k case
-    _, ess_b = og_essential(validate_og(3, 8, [], [0, 1, 3]))
+    _, ess_b = og_essential(validate_og(3, 9, [], [0, 1, 3]))
     assert ess_b == {3}
+    # in OG(3,8), b_3 = 3 = n/2 - 1 is stored as its twin: σ^{0,1,3} is σ_{4'}^{0,1}
+    x = validate_og(3, 8, [], [0, 1, 3])
+    assert x == validate_og(3, 8, [4], [0, 1], prime=True)
+    assert og_essential(x) == ({1}, set())
 
 
 def test_og_to_diagram_examples():
@@ -99,6 +105,19 @@ def test_og_to_diagram_rewrites_even_boundary():
     assert canonical_index(x) == validate_og(2, 8, [2, 4], [], prime=True)
 
 
+def test_even_boundary_spelling_is_its_primed_twin():
+    # one class, one index: b_{k-s} = n/2 - 1 builds the primed index, which
+    # hashes alike and gets the same rigidity report
+    primed = [
+        x for k in range(1, 7) for n in range(2 * k, 15, 2) for x in enumerate_og(k, n) if x.prime
+    ]
+    assert len(primed) == 1029
+    for x in primed:
+        y = OgIndex(x.k, x.n, x.a[:-1], x.b + (x.n // 2 - 1,))
+        assert y == x and hash(y) == hash(x)
+        assert classify_og(y) == classify_og(x)
+
+
 def test_diagram_to_og_examples():
     assert diagram_to_og(
         QuadricDiagram(6, (Bracket(1),), (Quadric(5, 1),))
@@ -111,13 +130,9 @@ def test_diagram_to_og_examples():
 
 
 def test_diagram_roundtrip_exhaustive():
-    from srk.orthogonal import needs_rewrite
-
     for k in range(1, 4):
         for n in range(2 * k, 11):
             for x in enumerate_og(k, n):
-                if needs_rewrite(x):
-                    continue
                 assert diagram_to_og(og_to_diagram(x)) == x
 
 

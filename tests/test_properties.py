@@ -12,7 +12,6 @@ from srk import (
     step,
 )
 from srk.errors import AlreadyTerminal, ValidationError
-from srk.orthogonal import needs_rewrite
 from test_diagrams import _unpruned_diagrams
 
 
@@ -38,8 +37,9 @@ def test_terminal_diagrams_are_exactly_the_valid_indices():
 
 def test_schubert_diagrams_of_enumerated_indices_are_admissible():
     """og_to_diagram checks nothing: the Schubert diagram of every valid
-    index of k <= 6, n <= 14 is admissible, the even-n boundary forms
-    b_{k-s} = n/2 - 1 that enumerate_og skips included."""
+    index of k <= 6, n <= 14 is admissible and decodes to the index, the
+    even-n boundary spellings b_{k-s} = n/2 - 1, stored as their primed
+    twins, included."""
     from srk import OgIndex
 
     for k in range(1, 7):
@@ -49,8 +49,7 @@ def test_schubert_diagrams_of_enumerated_indices_are_admissible():
             for x in xs:
                 D = og_to_diagram(x)
                 assert check_conditions(D).ok, str(x)
-                if not needs_rewrite(x):
-                    assert diagram_to_og(D) == x
+                assert diagram_to_og(D) == x
 
 
 def test_terminal_admissible_diagrams_are_the_schubert_diagrams():
@@ -107,8 +106,9 @@ def test_out_of_family_derivation_fails_loudly():
 def test_og_dimension_matches_engine_derived_dimension():
     """The closed-form og_dimension equals the one dimension of the terms of
     pushforward(x), over every index of k <= 4, n <= 12 (primed ones and the
-    even-n boundary forms b_{k-s} = n/2 - 1 included) and over OG(5,10) and
-    OG(5,11), where the engine loses exactly the listed classes."""
+    even-n boundary spellings b_{k-s} = n/2 - 1 included, which print as
+    their primed twins) and over OG(5,10) and OG(5,11), where the engine
+    loses exactly the listed classes."""
     from srk import OgIndex, og_dimension, pushforward
     from srk.errors import EngineInvariantError
     from srk.grassmannian import gr_dimension
@@ -119,7 +119,7 @@ def test_og_dimension_matches_engine_derived_dimension():
         (5, 11),
     ]:
         xs = list(enumerate_og(k, n))
-        # each primed index also has its boundary form, which enumerate_og skips
+        # each primed index again, built from its boundary spelling
         xs += [OgIndex(k, n, x.a[:-1], x.b + (n // 2 - 1,)) for x in xs if x.prime]
         for x in xs:
             try:
@@ -131,7 +131,7 @@ def test_og_dimension_matches_engine_derived_dimension():
     assert lost == [
         "σ_{2,3,5}^{0,3}@OG(5,10)",
         "σ_{2,3,5'}^{0,3}@OG(5,10)",
-        "σ_{2,3}^{0,3,4}@OG(5,10)",
+        "σ_{2,3,5'}^{0,3}@OG(5,10)",
         "σ_{3,4}^{0,1,4}@OG(5,11)",
     ]
 

@@ -39,7 +39,6 @@ from srk.errors import (
     SrkError,
     ValidationError,
 )
-from srk.orthogonal import needs_rewrite
 from test_diagrams import _unpruned_diagrams
 
 
@@ -211,9 +210,12 @@ def test_witness_position_validation():
 
 
 def test_witness_for_rewritten_boundary_position():
-    # the boundary condition b = n/2 - 1 is queried through its bracket form
+    # the boundary spelling b = n/2 - 1 is stored as σ_{2,4'}, so its
+    # condition is queried as the primed bracket a:2; the index has no b:1
     x = validate_og(2, 8, [2], [3])
-    assert find_nonrigid_witness(x, ("b", 1)) is None
+    assert find_nonrigid_witness(x, ("a", 2)) is None
+    with pytest.raises(PositionOutOfRange):
+        find_nonrigid_witness(x, ("b", 1))
 
 
 # --- the memoized scan against a plain one ----------------------------------
@@ -244,16 +246,13 @@ def _reference_scan(x, position, every_dimension=True):
     witness's 1-based place among the diagrams of the class's dimension
     (the unit of the budget), or (None, None)."""
     kind, idx = position
-    cx = canonical_index(x)
-    if needs_rewrite(x) and kind == "b" and idx == len(x.b):
-        kind, idx = "a", cx.s
-    target = ClassSum.single(cx)
-    dim = og_dimension(cx)
+    target = ClassSum.single(x)
+    dim = og_dimension(x)
     count = 0
     for D, d in _unpruned(x.k, x.n):
         same = d == dim
         count += same
-        if (same or every_dimension) and rigidity._omits_assertion(D, cx, kind, idx):
+        if (same or every_dimension) and rigidity._omits_assertion(D, x, kind, idx):
             if _traced(D) == target:
                 return count, D
     return None, None

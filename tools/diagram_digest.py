@@ -8,11 +8,13 @@ the walks of one dimension each, ``enumerate_diagrams(k, m, dim)`` for dim =
 0 up to the largest dimension, concatenated; the sha256 of the
 ``check_conditions`` reports (conditions, x, warnings) of the whole walk's
 diagrams; the sha256 of the engine's answers on those diagrams
-(``engine_lines``); and, best of ``ROUNDS`` rounds each,
-``check_conditions`` in us per call over those diagrams and the whole walk
-in ms.  Two trees that give the same digests enumerate, judge and expand
-the same diagrams.  The tool uses only srk's public API, so a copy of it
-run in another checkout compares the two trees.  Standard library only.
+(``engine_lines``); when 2k <= m, the sha256 of the classifier's answers
+on the indices of OG(k, m) (``classify_lines``), else null; and, best of
+``ROUNDS`` rounds each, ``check_conditions`` in us per call over those
+diagrams and the whole walk in ms.  Two trees that give the same digests
+enumerate, judge and expand the same diagrams and classify the same
+indices alike.  The tool uses only srk's public API, so a copy of it run
+in another checkout compares the two trees.  Standard library only.
 """
 
 from __future__ import annotations
@@ -81,6 +83,14 @@ def engine_lines(diagrams):
             yield f"{name} {push} step {_outcome(lambda: _stepped(srk.step(D, push)))}"
 
 
+def classify_lines(k: int, n: int):
+    """One line per index of ``enumerate_og(k, n)``: its ``classify_og``
+    report as sorted-key JSON and its ``og_dimension``."""
+    for x in srk.enumerate_og(k, n):
+        report = json.dumps(srk.classify_og(x).to_json_dict(), sort_keys=True)
+        yield f"{report} {srk.og_dimension(x)}"
+
+
 def diagram_digest(k: int, m: int) -> dict:
     """Compute what ``main`` prints."""
     diagrams = list(srk.enumerate_diagrams(k, m))
@@ -108,6 +118,7 @@ def diagram_digest(k: int, m: int) -> dict:
             for d, r in zip(diagrams, reports)
         ),
         "engine_sha256": _sha256(engine_lines(diagrams)),
+        "classify_sha256": _sha256(classify_lines(k, m)) if 2 * k <= m else None,
         "check_conditions_us": round(_best(check) / max(len(diagrams), 1) * 1e6, 3),
         "enumerate_ms": round(_best(walk) * 1e3, 3),
     }
